@@ -83,9 +83,11 @@ from .jobs import (
     JobStateError,
     JobStore,
     QueueFullError,
+    ResourceStateError,
     ServeError,
     ServiceClosedError,
     UnknownJobError,
+    UnknownResourceError,
 )
 from .queueing import FairQueue
 from .service import PlacementService, ServiceConfig, execute_request
@@ -129,6 +131,7 @@ __all__ = [
     "QUEUED",
     "QueueFullError",
     "RUNNING",
+    "ResourceStateError",
     "SESSION_STATES",
     "STATES",
     "ServeError",
@@ -142,6 +145,7 @@ __all__ = [
     "UnknownDeltaError",
     "UnknownExplorationError",
     "UnknownJobError",
+    "UnknownResourceError",
     "UnknownSessionError",
     "execute_request",
     "make_exploration_request",

@@ -40,6 +40,7 @@ from .jobs import (
     ServiceClosedError,
     UnknownJobError,
 )
+from .sessions import INITIALIZING, DeltaJob, Session
 
 
 class JobFailedError(ServeError):
@@ -52,10 +53,30 @@ class JobFailedError(ServeError):
 
     def __init__(self, job) -> None:
         self.job = job
-        state = job.state if hasattr(job, "state") else job["state"]
-        error = job.error if hasattr(job, "error") else job.get("error")
-        job_id = job.id if hasattr(job, "id") else job["id"]
-        super().__init__(f"job {job_id} {state}: {error or 'no result'}")
+        state, error = field_of(job, "state"), field_of(job, "error")
+        super().__init__(
+            f"job {field_of(job, 'id')} {state}: {error or 'no result'}"
+        )
+
+
+def field_of(record, name: str):
+    """One accessor over in-process resources and HTTP wire dicts."""
+    return getattr(record, name) if hasattr(record, name) else record.get(name)
+
+
+def _result(record):
+    """A done job's or delta's result; else :class:`JobFailedError`."""
+    if field_of(record, "state") != DONE:
+        raise JobFailedError(record)
+    return field_of(record, "result")
+
+
+def _wire(**fields) -> dict:
+    """A wire request from the set (non-``None``) ``fields``."""
+    return {
+        name: value.to_dict() if hasattr(value, "to_dict") else value
+        for name, value in fields.items() if value is not None
+    }
 
 
 def make_request(design: str, *, flow: str = "puffer", config=None,
@@ -68,20 +89,10 @@ def make_request(design: str, *, flow: str = "puffer", config=None,
     ``priority`` and ``client_id`` are scheduling hints (fair-queue
     bucket and shed order) and never affect the memoization key.
     """
-    if config is not None and hasattr(config, "to_dict"):
-        config = config.to_dict()
-    request: dict = {"design": design, "flow": flow}
-    if config is not None:
-        request["config"] = config
-    if route:
-        request["route"] = True
-    if timeout is not None:
-        request["timeout"] = timeout
-    if priority:
-        request["priority"] = int(priority)
-    if client_id is not None:
-        request["client_id"] = client_id
-    return request
+    return _wire(
+        design=design, flow=flow, config=config, route=True if route else None,
+        timeout=timeout, priority=int(priority) or None, client_id=client_id,
+    )
 
 
 def make_session_request(design: str, *, config=None, eco=None,
@@ -89,18 +100,7 @@ def make_session_request(design: str, *, config=None, eco=None,
     """Build the JSON-safe wire request both clients POST to
     ``/v1/sessions``.  ``config``/``eco`` may be dataclasses
     (serialized via ``to_dict``) or already-serialized wire dicts."""
-    if config is not None and hasattr(config, "to_dict"):
-        config = config.to_dict()
-    if eco is not None and hasattr(eco, "to_dict"):
-        eco = eco.to_dict()
-    request: dict = {"design": design}
-    if config is not None:
-        request["config"] = config
-    if eco is not None:
-        request["eco"] = eco
-    if verify is not None:
-        request["verify"] = verify
-    return request
+    return _wire(design=design, config=config, eco=eco, verify=verify)
 
 
 def make_exploration_request(config=None, *, priority: int = 0,
@@ -111,20 +111,31 @@ def make_exploration_request(config=None, *, priority: int = 0,
     already-serialized wire dict, or ``None`` (server defaults);
     ``priority``/``client_id`` schedule the exploration's trial jobs.
     """
-    if config is not None and hasattr(config, "to_dict"):
-        config = config.to_dict()
-    request: dict = {}
-    if config is not None:
-        request["config"] = config
-    if priority:
-        request["priority"] = int(priority)
-    if client_id is not None:
-        request["client_id"] = client_id
-    return request
+    return _wire(config=config, priority=int(priority) or None,
+                 client_id=client_id)
 
 
 def _is_stream_end(event: JobEvent) -> bool:
     return event.kind == "state" and event.state in TERMINAL
+
+
+async def _follow(wait_events, resource_id: str, after: int,
+                  timeout: float | None):
+    """Async-iterate ``wait_events`` long-polls until a terminal state."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        poll = 10.0
+        if deadline is not None:
+            poll = min(poll, deadline - time.monotonic())
+            if poll <= 0:
+                raise TimeoutError(f"{resource_id} event stream still open")
+        batch, _done = await wait_events(resource_id, after=after, timeout=poll)
+        for event in batch:
+            yield event
+            if _is_stream_end(event):
+                return
+        if batch:
+            after = batch[-1].seq
 
 
 class BaseClient(abc.ABC):
@@ -212,9 +223,7 @@ class ServiceClient(BaseClient):
             job = self.status(job.id)
         else:
             job = await self.wait(job.id, timeout=wait_timeout)
-        if job.state != DONE:
-            raise JobFailedError(job)
-        return job.result
+        return _result(job)
 
     def status(self, job_id: str):
         return self.service.status(job_id)
@@ -225,25 +234,10 @@ class ServiceClient(BaseClient):
     def events(self, job_id: str, after: int = -1) -> list:
         return self.service.events(job_id, after=after)
 
-    async def follow(self, job_id: str, *, after: int = -1,
-                     timeout: float | None = None):
+    def follow(self, job_id: str, *, after: int = -1,
+               timeout: float | None = None):
         """Async-iterate the job's events until its terminal event."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = 10.0
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(f"job {job_id} event stream still open")
-            batch, _done = await self.service.wait_events(
-                job_id, after=after, timeout=poll
-            )
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
+        return _follow(self.service.wait_events, job_id, after, timeout)
 
     def healthz(self) -> dict:
         return self.service.healthz()
@@ -278,12 +272,9 @@ class ServiceClient(BaseClient):
             JobFailedError: the delta failed.
         """
         record = self.submit_delta(session_id, delta)
-        record = await self.service.sessions.wait_delta(
+        return _result(await self.service.sessions.wait_delta(
             session_id, record.id, timeout=timeout
-        )
-        if record.state != DONE:
-            raise JobFailedError(record)
-        return record.result
+        ))
 
     def close_session(self, session_id: str):
         return self.service.sessions.close(session_id)
@@ -318,28 +309,11 @@ class ServiceClient(BaseClient):
     def exploration_events(self, exploration_id: str, after: int = -1) -> list:
         return self.service.explorations.events(exploration_id, after=after)
 
-    async def follow_exploration(self, exploration_id: str, *,
-                                 after: int = -1,
-                                 timeout: float | None = None):
+    def follow_exploration(self, exploration_id: str, *, after: int = -1,
+                           timeout: float | None = None):
         """Async-iterate trial/state events until the terminal event."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = 10.0
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(
-                        f"exploration {exploration_id} event stream still open"
-                    )
-            batch, _done = await self.service.explorations.wait_events(
-                exploration_id, after=after, timeout=poll
-            )
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
+        return _follow(self.service.explorations.wait_events, exploration_id,
+                       after, timeout)
 
     def exploration_report(self, exploration_id: str) -> dict:
         """The finished exploration's wire report (raises
@@ -386,6 +360,46 @@ class HttpServiceClient(BaseClient):
             return data
         self._raise(status, data.get("error", f"HTTP {status}"), retry_after)
 
+    def _poll(self, path: str, until: frozenset, timeout: float | None,
+              poll: float) -> dict:
+        """GET ``path`` until its ``state`` is in ``until``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            record = self._request("GET", path)
+            if record["state"] in until:
+                return record
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"{record['id']} still {record['state']}")
+            time.sleep(poll)
+
+    def _events(self, path: str, after: int, wait: float | None) -> list:
+        """GET ``<path>/events`` past ``after``; ``wait`` long-polls."""
+        path = f"{path}/events?after={after}"
+        timeout = None
+        if wait:
+            path += f"&wait={wait:g}"
+            timeout = self.timeout + wait
+        payload = self._request("GET", path, timeout=timeout)
+        return [JobEvent.from_dict(event) for event in payload["events"]]
+
+    def _follow(self, path: str, after: int, timeout: float | None,
+                wait: float):
+        """Yield ``<path>/events`` live until a terminal state event."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            poll = wait
+            if deadline is not None:
+                poll = min(poll, deadline - time.monotonic())
+                if poll <= 0:
+                    raise TimeoutError(f"{path} event stream still open")
+            batch = self._events(path, after, max(poll, 0.05))
+            for event in batch:
+                yield event
+                if _is_stream_end(event):
+                    return
+            if batch:
+                after = batch[-1].seq
+
     def _raise(self, status: int, message: str, retry_after) -> None:
         if status == 429:
             # Capacity isn't on the wire; keep the server's message.
@@ -430,44 +444,18 @@ class HttpServiceClient(BaseClient):
         """GET the job's events past ``after`` as typed
         :class:`~repro.schema.JobEvent`; ``wait`` long-polls up to that
         many seconds for the first new event."""
-        path = f"/v1/jobs/{job_id}/events?after={after}"
-        timeout = None
-        if wait:
-            path += f"&wait={wait:g}"
-            timeout = self.timeout + wait
-        payload = self._request("GET", path, timeout=timeout)
-        return [JobEvent.from_dict(event) for event in payload["events"]]
+        return self._events(f"/v1/jobs/{job_id}", after, wait)
 
     def follow(self, job_id: str, *, after: int = -1,
                timeout: float | None = None, wait: float = 10.0):
         """Yield the job's events live (long-polling) until its
         terminal state event; raises ``TimeoutError`` past ``timeout``."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = wait
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(f"job {job_id} event stream still open")
-            batch = self.events(job_id, after=after, wait=max(poll, 0.05))
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
+        return self._follow(f"/v1/jobs/{job_id}", after, timeout, wait)
 
     def wait(self, job_id: str, timeout: float | None = None,
              poll: float = 0.25) -> dict:
         """Poll until the job is terminal; returns its wire dict."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            job = self.status(job_id)
-            if job["state"] in ("done", "failed", "cancelled"):
-                return job
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {job['state']}")
-            time.sleep(poll)
+        return self._poll(f"/v1/jobs/{job_id}", TERMINAL, timeout, poll)
 
     def run(self, design: str, *, wait_timeout: float | None = None,
             poll: float = 0.25, progress=None, **kwargs) -> dict:
@@ -484,9 +472,7 @@ class HttpServiceClient(BaseClient):
                 job = self.status(job["id"])
             else:
                 job = self.wait(job["id"], timeout=wait_timeout, poll=poll)
-        if job["state"] != DONE:
-            raise JobFailedError(job)
-        return job["result"]
+        return _result(job)
 
     # -- ECO sessions --------------------------------------------------
 
@@ -510,14 +496,9 @@ class HttpServiceClient(BaseClient):
     def wait_session(self, session_id: str, timeout: float | None = None,
                      poll: float = 0.25) -> dict:
         """Poll until the cold start finishes; returns the wire dict."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            session = self.session(session_id)
-            if session["state"] != "initializing":
-                return session
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"session {session_id} still initializing")
-            time.sleep(poll)
+        # The cold start ends in whatever ``initializing`` may move to.
+        return self._poll(f"/v1/sessions/{session_id}",
+                          Session.lifecycle.moves[INITIALIZING], timeout, poll)
 
     def submit_delta(self, session_id: str, delta) -> dict:
         """POST one delta (typed or wire dict); returns its wire dict."""
@@ -533,15 +514,10 @@ class HttpServiceClient(BaseClient):
                     poll: float = 0.25) -> dict:
         """Submit a delta, poll to completion, return its result summary."""
         record = self.submit_delta(session_id, delta)
-        deadline = None if wait_timeout is None else time.monotonic() + wait_timeout
-        while record["state"] in ("queued", "running"):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"delta {record['id']} still {record['state']}")
-            time.sleep(poll)
-            record = self.delta(session_id, record["id"])
-        if record["state"] != DONE:
-            raise JobFailedError(record)
-        return record["result"]
+        return _result(self._poll(
+            f"/v1/sessions/{session_id}/deltas/{record['id']}",
+            DeltaJob.lifecycle.terminal, wait_timeout, poll,
+        ))
 
     # -- strategy explorations -----------------------------------------
 
@@ -572,51 +548,21 @@ class HttpServiceClient(BaseClient):
                          timeout: float | None = None,
                          poll: float = 0.25) -> dict:
         """Poll until the exploration is terminal; returns its wire dict."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            exploration = self.exploration(exploration_id)
-            if exploration["state"] in ("done", "failed", "cancelled"):
-                return exploration
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"exploration {exploration_id} still {exploration['state']}"
-                )
-            time.sleep(poll)
+        return self._poll(f"/v1/explorations/{exploration_id}", TERMINAL,
+                          timeout, poll)
 
     def exploration_events(self, exploration_id: str, after: int = -1,
                            wait: float | None = None) -> list:
         """GET the exploration's events past ``after`` as typed
         :class:`~repro.schema.JobEvent`; ``wait`` long-polls."""
-        path = f"/v1/explorations/{exploration_id}/events?after={after}"
-        timeout = None
-        if wait:
-            path += f"&wait={wait:g}"
-            timeout = self.timeout + wait
-        payload = self._request("GET", path, timeout=timeout)
-        return [JobEvent.from_dict(event) for event in payload["events"]]
+        return self._events(f"/v1/explorations/{exploration_id}", after, wait)
 
     def follow_exploration(self, exploration_id: str, *, after: int = -1,
                            timeout: float | None = None, wait: float = 10.0):
         """Yield trial/state events live (long-polling) until the
         exploration's terminal state event."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = wait
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(
-                        f"exploration {exploration_id} event stream still open"
-                    )
-            batch = self.exploration_events(
-                exploration_id, after=after, wait=max(poll, 0.05)
-            )
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
+        return self._follow(f"/v1/explorations/{exploration_id}", after,
+                            timeout, wait)
 
     def exploration_report(self, exploration_id: str) -> dict:
         """GET the finished report (409/``JobStateError`` until done)."""

@@ -118,10 +118,6 @@ class EventLog:
         self._events: dict = {}   # job_id -> [JobEvent, ...]
         self._waiters: dict = {}  # job_id -> [Future, ...]
 
-    def register(self, job_id: str) -> None:
-        """Open an (empty) stream for a freshly created job."""
-        self._events.setdefault(job_id, [])
-
     def publish(self, job_id: str, kind: str, state: str | None = None,
                 progress: JobProgress | None = None, trial=None) -> JobEvent:
         """Append one event (seq auto-assigned) and wake every waiter."""

@@ -32,9 +32,10 @@ Three layers:
   payloads, drives :func:`repro.api.run_exploration` on a worker thread
   with a :class:`DistributedEvaluator` over the owning service, streams
   every completed trial as a ``kind="trial"``
-  :class:`repro.schema.JobEvent` through its own
-  :class:`~repro.serve.events.EventLog` (long-polled by
-  ``GET /v1/explorations/<id>/events``), and serves the final
+  :class:`repro.schema.JobEvent` into the event log it shares with the
+  service's jobs (long-polled by ``GET /v1/explorations/<id>/events``;
+  the lifecycle is under "Resource lifecycle" in ``docs/api.md``), and
+  serves the final
   :class:`repro.schema.ExplorationReport` wire record.  When the
   service has an artifact cache, completed trials persist as
   :class:`repro.tpe.TransferPriors` and warm-start later explorations
@@ -43,40 +44,32 @@ Three layers:
   its event loop) on a helper thread so *synchronous* callers — the
   ``repro explore --jobs N`` CLI and the explore benchmark — can use a
   :class:`DistributedEvaluator` without owning an event loop.
-
-Cancellation is cooperative and best-effort: ``DELETE`` sets a flag the
-evaluator checks before every submit and between result waits; jobs
-already on the queue run to completion (they are plain service jobs and
-their results still land in the cache).
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
 
 from .. import obs
-from .client import JobFailedError, ServiceClient
-from .events import EventLog
+from .client import JobFailedError, ServiceClient, field_of
 from .jobs import (
     CANCELLED,
     DONE,
     FAILED,
     RUNNING,
+    Lifecycle,
     QueueFullError,
+    Registry,
+    Resource,
+    ResourceStateError,
     ServeError,
-    ServiceClosedError,
+    UnknownResourceError,
+    check_request,
+    scheduling_hints,
 )
-
-#: Exploration lifecycle states (no ``queued`` — trials start queueing
-#: the moment the exploration is created).
-EXPLORATION_STATES = (RUNNING, DONE, FAILED, CANCELLED)
-
-#: States an exploration never leaves.
-EXPLORATION_TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 #: Request keys accepted by ``POST /v1/explorations``.
 _EXPLORE_KEYS = frozenset({"config", "priority", "client_id"})
@@ -86,22 +79,29 @@ _EXPLORE_KEYS = frozenset({"config", "priority", "client_id"})
 _FAILED = object()
 
 
-class UnknownExplorationError(ServeError, KeyError):
+class UnknownExplorationError(UnknownResourceError):
     """An exploration id with no entry in the manager."""
 
-    def __init__(self, exploration_id: str, message: str | None = None) -> None:
-        self.exploration_id = exploration_id
-        self._message = message or f"unknown exploration {exploration_id!r}"
-        super().__init__(self._message)
-
-    def __str__(self) -> str:
-        # KeyError.__str__ repr-quotes its argument; keep the message
-        # plain so it survives the HTTP error round-trip unmangled.
-        return self._message
+    kind = "exploration"
 
 
-class ExplorationStateError(ServeError):
+class ExplorationStateError(ResourceStateError):
     """An operation illegal in the exploration's current state."""
+
+
+#: No ``queued`` state — trials start queueing the moment the
+#: exploration is created.
+EXPLORATION_LIFECYCLE = Lifecycle("exploration", {
+    RUNNING: {DONE, FAILED, CANCELLED},
+    DONE: (),
+    FAILED: (),
+    CANCELLED: (),
+}, ExplorationStateError, UnknownExplorationError)
+
+EXPLORATION_STATES = EXPLORATION_LIFECYCLE.states
+
+#: States an exploration never leaves.
+EXPLORATION_TERMINAL = EXPLORATION_LIFECYCLE.terminal
 
 
 class ExplorationCancelledError(ServeError):
@@ -205,13 +205,6 @@ class DistributedEvaluator:
             return asyncio.run_coroutine_threadsafe(outcome, self.loop).result()
         return outcome
 
-    @staticmethod
-    def _field(job, name: str):
-        """One accessor over in-process ``Job``s and HTTP wire dicts."""
-        if hasattr(job, name):
-            return getattr(job, name)
-        return job.get(name)
-
     def _submit(self, params: dict):
         """Submit one candidate, riding out backpressure.
 
@@ -281,7 +274,7 @@ class DistributedEvaluator:
             if isinstance(job, BaseException):
                 outcomes.append(job)
                 continue
-            job_id = self._field(job, "id")
+            job_id = field_of(job, "id")
             try:
                 final = self._wait_job(job_id)
             except ExplorationCancelledError:
@@ -289,10 +282,10 @@ class DistributedEvaluator:
             except Exception as exc:
                 outcomes.append(exc)
                 continue
-            if self._field(final, "state") != DONE:
+            if field_of(final, "state") != DONE:
                 outcomes.append(JobFailedError(final))
                 continue
-            result = self._field(final, "result") or {}
+            result = field_of(final, "result") or {}
             route = result.get("route")
             if not route:
                 outcomes.append(
@@ -300,7 +293,7 @@ class DistributedEvaluator:
                 )
                 continue
             raw = (float(route["total_overflow"]), float(route["wirelength"]))
-            outcomes.append((raw, bool(self._field(final, "cache_hit"))))
+            outcomes.append((raw, bool(field_of(final, "cache_hit"))))
         return outcomes
 
     # -- the evaluator contract ----------------------------------------
@@ -357,7 +350,7 @@ class DistributedEvaluator:
 
 
 @dataclass
-class Exploration:
+class Exploration(Resource):
     """One exploration and its lifecycle (the ``/v1/explorations`` row).
 
     Attributes:
@@ -371,6 +364,8 @@ class Exploration:
         created_at / finished_at: ``time.time()`` stamps.
     """
 
+    lifecycle = EXPLORATION_LIFECYCLE
+
     id: str
     config: object
     state: str = RUNNING
@@ -379,10 +374,6 @@ class Exploration:
     trials: int = 0
     created_at: float = field(default_factory=time.time)
     finished_at: float | None = None
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in EXPLORATION_TERMINAL
 
     def to_wire(self) -> dict:
         """The JSON-safe status dict served over HTTP.
@@ -406,26 +397,21 @@ class Exploration:
         }
 
 
-class ExplorationManager:
+class ExplorationManager(Registry):
     """Owner of every exploration a service runs (``/v1/explorations``).
 
     Mirrors :class:`~repro.serve.sessions.SessionManager` structurally:
-    loop-confined, one asyncio task per exploration, its own
-    :class:`~repro.serve.events.EventLog` for long-polling, explicit
-    drain.  The exploration itself runs on an executor thread (the TPE
-    loop is synchronous); completed trials hop back to the loop via
+    loop-confined, one asyncio task per exploration, a registry sharing
+    the service's event log for long-polling, explicit drain.  The
+    exploration itself runs on an executor thread (the TPE loop is
+    synchronous); completed trials hop back to the loop via
     ``call_soon_threadsafe`` to publish ``kind="trial"`` events.
     """
 
     def __init__(self, service) -> None:
+        super().__init__(Exploration, "explore-", service._store.log)
         self.service = service
-        self._explorations: dict = {}
-        self._ids = itertools.count(1)
-        self._events = EventLog()
         self._evaluators: dict = {}
-        self._tasks: set = set()
-        self._done_events: dict = {}
-        self._draining = False
 
     # -- lifecycle -----------------------------------------------------
 
@@ -444,39 +430,14 @@ class ExplorationManager:
         from .. import api
 
         with obs.span("serve/request", op="explore"):
-            if self._draining:
-                raise ServiceClosedError(
-                    "service is draining; not accepting explorations"
-                )
-            if not isinstance(request, dict):
-                raise ValueError(
-                    f"request must be a dict, got {type(request).__name__}"
-                )
-            unknown = set(request) - _EXPLORE_KEYS
-            if unknown:
-                raise ValueError(f"unknown request keys: {sorted(unknown)}")
+            self.check_intake("explorations")
+            check_request(request, _EXPLORE_KEYS)
             config = api.ExploreConfig.from_dict(request.get("config") or {})
-            priority = request.get("priority", 0)
-            if not isinstance(priority, int) or isinstance(priority, bool):
-                raise ValueError("request 'priority' must be an int")
-            client_id = request.get("client_id", "explore")
-            if not isinstance(client_id, str) or not client_id:
-                raise ValueError("request 'client_id' must be a non-empty string")
-            exploration = Exploration(
-                id=f"explore-{next(self._ids)}", config=config
-            )
-            self._explorations[exploration.id] = exploration
-            self._done_events[exploration.id] = asyncio.Event()
-            self._events.register(exploration.id)
-            self._events.publish(exploration.id, "state", state=RUNNING)
+            priority, client_id = scheduling_hints(request, "explore")
+            exploration = super().create(config=config)
             obs.counter("explore/created").inc()
             self._spawn(self._run(exploration, priority, client_id))
             return exploration
-
-    def _spawn(self, coro) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
     async def _run(self, exploration: Exploration, priority: int,
                    client_id: str) -> None:
@@ -528,52 +489,17 @@ class ExplorationManager:
         if exploration.terminal:
             return
         exploration.trials += 1
-        self._events.publish(exploration.id, "trial", trial=trial)
+        self.log.publish(exploration.id, "trial", trial=trial)
         obs.counter("explore/trials").inc()
 
     def _finish(self, exploration: Exploration, state: str,
                 error: str | None = None) -> None:
-        exploration.state = state
-        exploration.error = error
-        exploration.finished_at = time.time()
-        self._events.publish(exploration.id, "state", state=state)
-        self._done_events[exploration.id].set()
+        self.move(exploration, state, error=error)
         obs.counter(f"explore/{state}").inc()
 
     # -- queries -------------------------------------------------------
 
-    def get(self, exploration_id: str) -> Exploration:
-        """The exploration for ``exploration_id`` (raises
-        :class:`UnknownExplorationError`)."""
-        try:
-            return self._explorations[exploration_id]
-        except KeyError:
-            raise UnknownExplorationError(exploration_id) from None
-
-    def explorations(self, state: str | None = None) -> list:
-        """All explorations in creation order, optionally by state."""
-        items = list(self._explorations.values())
-        if state is not None:
-            items = [e for e in items if e.state == state]
-        return items
-
-    def events(self, exploration_id: str, after: int = -1) -> list:
-        """Events with ``seq > after`` (non-blocking)."""
-        self.get(exploration_id)  # raises UnknownExplorationError
-        return self._events.events(exploration_id, after)
-
-    async def wait_events(self, exploration_id: str, after: int = -1,
-                          timeout: float | None = 30.0) -> tuple:
-        """Long-poll for events past ``after``.
-
-        Returns ``(events, stream_done)`` exactly like
-        :meth:`repro.serve.service.PlacementService.wait_events`.
-        """
-        exploration = self.get(exploration_id)
-        fresh = self._events.events(exploration_id, after)
-        if not fresh and not exploration.terminal:
-            fresh = await self._events.wait(exploration_id, after, timeout)
-        return fresh, exploration.terminal
+    explorations = Registry.list
 
     def report(self, exploration_id: str) -> dict:
         """The finished exploration's wire report.
@@ -597,35 +523,15 @@ class ExplorationManager:
             UnknownExplorationError: no such exploration.
             ExplorationStateError: already terminal.
         """
-        exploration = self.get(exploration_id)
-        if exploration.terminal:
-            raise ExplorationStateError(
-                f"exploration {exploration_id} is already {exploration.state}"
-            )
+        exploration = self.live(exploration_id)
         evaluator = self._evaluators.get(exploration_id)
         if evaluator is not None:
             evaluator.cancel()
         return exploration
 
-    async def wait(self, exploration_id: str,
-                   timeout: float | None = None) -> Exploration:
-        """Await an exploration's terminal state and return it."""
-        exploration = self.get(exploration_id)
-        await asyncio.wait_for(
-            self._done_events[exploration_id].wait(), timeout
-        )
-        return exploration
-
-    def counts(self) -> dict:
-        """``state -> count`` over every state (zeros included)."""
-        counts = dict.fromkeys(EXPLORATION_STATES, 0)
-        for exploration in self._explorations.values():
-            counts[exploration.state] += 1
-        return counts
-
     async def drain(self) -> None:
         """Stop intake, cancel live explorations, await their tasks."""
-        self._draining = True
+        self.draining = True
         for evaluator in list(self._evaluators.values()):
             evaluator.cancel()
         if self._tasks:

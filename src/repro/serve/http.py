@@ -4,34 +4,10 @@ A deliberately small HTTP/1.1 server on :func:`asyncio.start_server` —
 no framework, no threads — translating requests into
 :class:`~repro.serve.service.PlacementService` calls.  Every route
 lives under the versioned ``/v1`` prefix and is declared once in
-:data:`ROUTES`, the single route table:
-
-====== ============================== ================================
-Method Path                           Action
-====== ============================== ================================
-GET    ``/v1/healthz``                liveness + queue/job counts
-GET    ``/v1/metrics``                service counters and obs instruments
-POST   ``/v1/jobs``                   submit a placement job (``202``)
-GET    ``/v1/jobs``                   list jobs (``?state=`` filters)
-GET    ``/v1/jobs/<id>``              one job's status/result
-DELETE ``/v1/jobs/<id>``              cancel a job
-GET    ``/v1/jobs/<id>/events``       the job's event stream
-                                      (``?after=<seq>&wait=<s>`` long-polls)
-POST   ``/v1/sessions``               open an ECO session (``202``)
-GET    ``/v1/sessions``               list sessions
-GET    ``/v1/sessions/<id>``          one session's status + delta history
-DELETE ``/v1/sessions/<id>``          close a session (GC retained state)
-POST   ``/v1/sessions/<id>/deltas``   submit an incremental delta
-GET    ``/v1/sessions/<id>/deltas``   list the session's deltas
-GET    ``/v1/sessions/<id>/deltas/<did>`` one delta's status/result
-POST   ``/v1/explorations``           start a strategy exploration (``202``)
-GET    ``/v1/explorations``           list explorations (``?state=`` filters)
-GET    ``/v1/explorations/<id>``      one exploration's status
-DELETE ``/v1/explorations/<id>``      cancel an exploration (cooperative)
-GET    ``/v1/explorations/<id>/events`` the exploration's trial/state stream
-                                      (``?after=<seq>&wait=<s>`` long-polls)
-GET    ``/v1/explorations/<id>/report`` the finished report (409 until done)
-====== ============================== ================================
+:data:`ROUTES`, the single route table (each route is described in
+``docs/api.md``).  A handler returns its payload — a resource, served
+as its ``to_wire()``, or a JSON-safe dict — and every ``POST`` answers
+``202 Accepted``.
 
 The pre-``/v1`` unversioned paths keep answering through a shim: the
 path is re-matched with ``/v1`` prepended and the response carries
@@ -40,7 +16,9 @@ header pointing at the replacement (pinned by
 ``tests/test_deprecations.py``).
 
 Error mapping (one table for every route): validation problems are
-``400``, unknown ids ``404``, illegal lifecycle moves ``409``, a full
+``400``, unknown ids (any :class:`~repro.serve.jobs.UnknownResourceError`)
+``404``, illegal lifecycle moves (any
+:class:`~repro.serve.jobs.ResourceStateError`) ``409``, a full
 queue ``429`` with a ``Retry-After`` header, drain ``503``.  Every
 response is JSON and every connection is single-shot
 (``Connection: close``) — clients here are submission scripts and
@@ -56,17 +34,12 @@ import json
 from http import HTTPStatus
 
 from ..schema import SchemaError
-from .exploration import ExplorationStateError, UnknownExplorationError
 from .jobs import (
-    JobStateError,
     QueueFullError,
+    Resource,
+    ResourceStateError,
     ServiceClosedError,
-    UnknownJobError,
-)
-from .sessions import (
-    SessionStateError,
-    UnknownDeltaError,
-    UnknownSessionError,
+    UnknownResourceError,
 )
 
 #: Request-size guards (a placement request is a few KB of JSON).
@@ -224,7 +197,11 @@ class HttpServer:
                 continue
             name, _sep, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        length = headers.get("content-length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _HttpError(HTTPStatus.BAD_REQUEST,
+                             f"bad Content-Length: {length!r}")
+        length = int(length)
         if length > MAX_BODY_BYTES:
             raise _HttpError(HTTPStatus.REQUEST_ENTITY_TOO_LARGE, "body too large")
         body = await reader.readexactly(length) if length else b""
@@ -249,7 +226,7 @@ class HttpServer:
             raise _HttpError(HTTPStatus.NOT_FOUND, f"no route for {path}")
         handler = getattr(self, "_handle_" + handler_name)
         try:
-            status, payload, headers = await handler(params, query, body)
+            payload = await handler(params, query, body)
         except _HttpError as err:
             err.headers = {**shim_headers, **err.headers}
             raise
@@ -261,11 +238,10 @@ class HttpServer:
         except ServiceClosedError as exc:
             raise _HttpError(HTTPStatus.SERVICE_UNAVAILABLE, str(exc),
                              headers=dict(shim_headers)) from None
-        except (UnknownJobError, UnknownSessionError, UnknownDeltaError,
-                UnknownExplorationError) as exc:
+        except UnknownResourceError as exc:
             raise _HttpError(HTTPStatus.NOT_FOUND, str(exc),
                              headers=dict(shim_headers)) from None
-        except (JobStateError, SessionStateError, ExplorationStateError) as exc:
+        except ResourceStateError as exc:
             raise _HttpError(HTTPStatus.CONFLICT, str(exc),
                              headers=dict(shim_headers)) from None
         except (SchemaError, ValueError, KeyError) as exc:
@@ -273,132 +249,105 @@ class HttpServer:
             # StrategyParams' unknown-parameter rejection.
             raise _HttpError(HTTPStatus.BAD_REQUEST, str(exc),
                              headers=dict(shim_headers)) from None
-        return status, payload, {**shim_headers, **headers}
+        if isinstance(payload, Resource):
+            payload = payload.to_wire()
+        # Every POST creates a resource and answers 202 Accepted.
+        status = HTTPStatus.ACCEPTED if method == "POST" else HTTPStatus.OK
+        return status, payload, shim_headers
 
     # ------------------------------------------------------------------
     # Handlers (one per ROUTES entry)
     # ------------------------------------------------------------------
 
-    async def _handle_healthz(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.healthz(), {}
+    async def _handle_healthz(self, params, query, body):
+        return self.service.healthz()
 
-    async def _handle_metrics(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.metrics(), {}
+    async def _handle_metrics(self, params, query, body):
+        return self.service.metrics()
 
-    async def _handle_submit_job(self, params, query, body) -> tuple:
-        job = self.service.submit(self._parse_body(body))
-        return HTTPStatus.ACCEPTED, job.to_wire(), {}
+    async def _handle_submit_job(self, params, query, body):
+        return self.service.submit(self._parse_body(body))
 
-    async def _handle_list_jobs(self, params, query, body) -> tuple:
-        state = _query_param(query, "state")
-        jobs = [job.to_wire() for job in self.service.jobs(state)]
-        return HTTPStatus.OK, {"jobs": jobs}, {}
+    async def _handle_list_jobs(self, params, query, body):
+        return {"jobs": _wire(self.service.jobs(_query_param(query, "state")))}
 
-    async def _handle_job_status(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.status(params["job_id"]).to_wire(), {}
+    async def _handle_job_status(self, params, query, body):
+        return self.service.status(params["job_id"])
 
-    async def _handle_cancel_job(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.cancel(params["job_id"]).to_wire(), {}
+    async def _handle_cancel_job(self, params, query, body):
+        return self.service.cancel(params["job_id"])
 
-    async def _handle_job_events(self, params, query, body) -> tuple:
-        job_id = params["job_id"]
-        after = _numeric_param(query, "after", int, -1)
-        wait = _numeric_param(query, "wait", float, 0.0)
-        if wait > 0:
-            events, done = await self.service.wait_events(
-                job_id, after=after, timeout=min(wait, MAX_EVENT_WAIT)
-            )
-        else:
-            events = self.service.events(job_id, after=after)
-            done = self.service.status(job_id).terminal
-        next_after = events[-1].seq if events else after
-        payload = {
-            "job_id": job_id,
-            "events": [event.to_dict() for event in events],
-            "next_after": next_after,
-            "stream_done": done,
-        }
-        return HTTPStatus.OK, payload, {}
+    async def _handle_job_events(self, params, query, body):
+        return await self._events(self.service.wait_events, "job_id",
+                                  params, query)
 
-    async def _handle_create_session(self, params, query, body) -> tuple:
-        session = self.service.sessions.create(self._parse_body(body))
-        return HTTPStatus.ACCEPTED, session.to_wire(), {}
+    async def _handle_create_session(self, params, query, body):
+        return self.service.sessions.create(self._parse_body(body))
 
-    async def _handle_list_sessions(self, params, query, body) -> tuple:
-        sessions = [s.to_wire() for s in self.service.sessions.sessions()]
-        return HTTPStatus.OK, {"sessions": sessions}, {}
+    async def _handle_list_sessions(self, params, query, body):
+        return {"sessions": _wire(self.service.sessions.sessions())}
 
-    async def _handle_session_status(self, params, query, body) -> tuple:
-        session = self.service.sessions.get(params["session_id"])
-        return HTTPStatus.OK, session.to_wire(), {}
+    async def _handle_session_status(self, params, query, body):
+        return self.service.sessions.get(params["session_id"])
 
-    async def _handle_close_session(self, params, query, body) -> tuple:
-        session = self.service.sessions.close(params["session_id"])
-        return HTTPStatus.OK, session.to_wire(), {}
+    async def _handle_close_session(self, params, query, body):
+        return self.service.sessions.close(params["session_id"])
 
-    async def _handle_submit_delta(self, params, query, body) -> tuple:
-        delta = self.service.sessions.submit_delta(
+    async def _handle_submit_delta(self, params, query, body):
+        return self.service.sessions.submit_delta(
             params["session_id"], self._parse_body(body)
         )
-        return HTTPStatus.ACCEPTED, delta.to_wire(), {}
 
-    async def _handle_list_deltas(self, params, query, body) -> tuple:
+    async def _handle_list_deltas(self, params, query, body):
         session = self.service.sessions.get(params["session_id"])
-        deltas = [d.to_wire() for d in session.deltas.values()]
-        return HTTPStatus.OK, {"deltas": deltas}, {}
+        return {"deltas": _wire(session.deltas.list())}
 
-    async def _handle_delta_status(self, params, query, body) -> tuple:
-        delta = self.service.sessions.delta(
-            params["session_id"], params["delta_id"]
+    async def _handle_delta_status(self, params, query, body):
+        return self.service.sessions.delta(params["session_id"], params["delta_id"])
+
+    async def _handle_create_exploration(self, params, query, body):
+        return self.service.explorations.create(self._parse_body(body))
+
+    async def _handle_list_explorations(self, params, query, body):
+        explorations = self.service.explorations.explorations(
+            _query_param(query, "state")
         )
-        return HTTPStatus.OK, delta.to_wire(), {}
+        return {"explorations": _wire(explorations)}
 
-    async def _handle_create_exploration(self, params, query, body) -> tuple:
-        exploration = self.service.explorations.create(self._parse_body(body))
-        return HTTPStatus.ACCEPTED, exploration.to_wire(), {}
+    async def _handle_exploration_status(self, params, query, body):
+        return self.service.explorations.get(params["exploration_id"])
 
-    async def _handle_list_explorations(self, params, query, body) -> tuple:
-        state = _query_param(query, "state")
-        explorations = [
-            e.to_wire() for e in self.service.explorations.explorations(state)
-        ]
-        return HTTPStatus.OK, {"explorations": explorations}, {}
+    async def _handle_cancel_exploration(self, params, query, body):
+        return self.service.explorations.cancel(params["exploration_id"])
 
-    async def _handle_exploration_status(self, params, query, body) -> tuple:
-        exploration = self.service.explorations.get(params["exploration_id"])
-        return HTTPStatus.OK, exploration.to_wire(), {}
+    async def _handle_exploration_events(self, params, query, body):
+        return await self._events(self.service.explorations.wait_events,
+                                  "exploration_id", params, query)
 
-    async def _handle_cancel_exploration(self, params, query, body) -> tuple:
-        exploration = self.service.explorations.cancel(params["exploration_id"])
-        return HTTPStatus.OK, exploration.to_wire(), {}
-
-    async def _handle_exploration_events(self, params, query, body) -> tuple:
-        exploration_id = params["exploration_id"]
-        after = _numeric_param(query, "after", int, -1)
-        wait = _numeric_param(query, "wait", float, 0.0)
-        if wait > 0:
-            events, done = await self.service.explorations.wait_events(
-                exploration_id, after=after, timeout=min(wait, MAX_EVENT_WAIT)
-            )
-        else:
-            events = self.service.explorations.events(exploration_id, after=after)
-            done = self.service.explorations.get(exploration_id).terminal
-        next_after = events[-1].seq if events else after
-        payload = {
-            "exploration_id": exploration_id,
-            "events": [event.to_dict() for event in events],
-            "next_after": next_after,
-            "stream_done": done,
-        }
-        return HTTPStatus.OK, payload, {}
-
-    async def _handle_exploration_report(self, params, query, body) -> tuple:
-        report = self.service.explorations.report(params["exploration_id"])
-        return HTTPStatus.OK, report, {}
+    async def _handle_exploration_report(self, params, query, body):
+        return self.service.explorations.report(params["exploration_id"])
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
+
+    @staticmethod
+    async def _events(wait_events, id_param: str, params, query) -> dict:
+        """The events body of every resource kind: ``?after=<seq>``
+        slices, ``&wait=<s>`` long-polls (capped at
+        :data:`MAX_EVENT_WAIT`; absent or ``<= 0`` never waits)."""
+        resource_id = params[id_param]
+        after = _numeric_param(query, "after", int, -1)
+        wait = _numeric_param(query, "wait", float, 0.0)
+        events, done = await wait_events(
+            resource_id, after=after, timeout=min(wait, MAX_EVENT_WAIT)
+        )
+        return {
+            id_param: resource_id,
+            "events": [event.to_dict() for event in events],
+            "next_after": events[-1].seq if events else after,
+            "stream_done": done,
+        }
 
     @staticmethod
     def _parse_body(body: bytes) -> dict:
@@ -419,6 +368,10 @@ class HttpServer:
         head.extend(f"{name}: {value}" for name, value in headers.items())
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
         await writer.drain()
+
+
+def _wire(resources: list) -> list:
+    return [resource.to_wire() for resource in resources]
 
 
 def _query_param(query: str, name: str) -> str | None:

@@ -24,9 +24,9 @@ the HTTP front end (:mod:`repro.serve.http`) and the in-process
   the first follower to run for real);
 * **progress streaming** — shard workers append gp-iteration /
   padding-round / RRR-round samples to a per-job progress file; the
-  service pumps new lines into a per-job :class:`~repro.serve.events.EventLog`
-  alongside every lifecycle transition, which
-  ``GET /v1/jobs/<id>/events`` long-polls.
+  service pumps new lines into the job registry's
+  :class:`~repro.serve.events.EventLog` alongside every lifecycle
+  transition, which ``GET /v1/jobs/<id>/events`` long-polls.
 
 Requests are validated *at the boundary*: a bad config, flow, or verify
 level raises before a job is created, so the queue only ever holds
@@ -34,11 +34,8 @@ runnable work.  Everything narrates into :mod:`repro.obs` —
 ``serve/request`` and ``serve/job`` spans, a ``serve/queue_depth``
 gauge, and per-outcome counters — all visible on ``/v1/metrics``.
 
-Degradation matrix (also in ``docs/api.md``): in thread mode a
-timed-out or cancelled *running* job is marked terminal but its thread
-runs to completion in the background; in shard mode the worker process
-is killed, so the core is actually reclaimed and the next job starts in
-a fresh worker.
+Thread mode's degradations, and why it stays, are in the degradation
+matrix in ``docs/api.md``.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from .. import obs
 from ..runtime import ArtifactCache, Task, TaskExecutor, TaskTimeoutError, stable_hash
 from ..runtime import shm as shm_runtime
 from ..runtime.cache import MISSING
-from .events import EventLog, read_new_progress
+from .events import read_new_progress
 from .exploration import ExplorationManager
 from .jobs import (
     CANCELLED,
@@ -63,10 +60,10 @@ from .jobs import (
     QUEUED,
     RUNNING,
     Job,
-    JobStateError,
     JobStore,
     QueueFullError,
-    ServiceClosedError,
+    check_request,
+    scheduling_hints,
 )
 from .queueing import FairQueue
 from .sessions import SessionManager
@@ -183,13 +180,12 @@ class PlacementService:
         if self.config.shards < 0:
             raise ValueError("shards must be >= 0")
         self._runner = runner or execute_request
+        self._store = JobStore()
         self.sessions = SessionManager(engine_factory=session_engine_factory)
         self.explorations = ExplorationManager(self)
-        self._store = JobStore()
         self._queue = FairQueue(
             self.config.capacity, weights=self.config.client_weights
         )
-        self._events = EventLog()
         self._cache = (
             ArtifactCache(self.config.cache_dir) if self.config.cache_dir else None
         )
@@ -211,9 +207,7 @@ class PlacementService:
         self._primary: dict = {}    # memo key -> primary job id (non-terminal)
         self._followers: dict = {}  # primary job id -> [follower job ids]
         self._workers: list = []
-        self._done_events: dict = {}
         self._cancel_events: dict = {}
-        self._draining = False
         self.started_at = time.time()
         self.counts = {
             "submitted": 0,
@@ -263,7 +257,7 @@ class PlacementService:
         checkpoint — incremental work cannot outlive the service that
         holds it.
         """
-        self._draining = True
+        self._store.draining = True
         await self.explorations.drain()
         self.sessions.close_all()
         await self._queue.join()
@@ -306,8 +300,7 @@ class PlacementService:
             repro.api.UnknownFlowError: invalid request payloads.
         """
         with obs.span("serve/request", op="submit"):
-            if self._draining:
-                raise ServiceClosedError("service is draining; not accepting jobs")
+            self._store.check_intake("jobs")
             normalized, timeout, client_id, priority = self._normalize(request)
             key = stable_hash(normalized)
 
@@ -362,22 +355,13 @@ class PlacementService:
     def events(self, job_id: str, after: int = -1) -> list:
         """Events of ``job_id`` with ``seq > after`` (non-blocking)."""
         with obs.span("serve/request", op="events", job=job_id):
-            self._store.get(job_id)  # raises UnknownJobError
-            return self._events.events(job_id, after)
+            return self._store.events(job_id, after)
 
     async def wait_events(self, job_id: str, after: int = -1,
                           timeout: float | None = 30.0) -> tuple:
-        """Long-poll for events past ``after``.
-
-        Returns ``(events, stream_done)``: a possibly-empty ordered
-        slice plus whether the job has reached a terminal state (after
-        which no further events will ever arrive).
-        """
-        job = self._store.get(job_id)
-        fresh = self._events.events(job_id, after)
-        if not fresh and not job.terminal:
-            fresh = await self._events.wait(job_id, after, timeout)
-        return fresh, job.terminal
+        """Long-poll: ``(events, stream_done)`` like
+        :meth:`repro.serve.jobs.Registry.wait_events`."""
+        return await self._store.wait_events(job_id, after, timeout)
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a job: immediate when queued, forceful when running
@@ -396,9 +380,7 @@ class PlacementService:
             JobStateError: the job already reached a terminal state.
         """
         with obs.span("serve/request", op="cancel", job=job_id):
-            job = self._store.get(job_id)
-            if job.terminal:
-                raise JobStateError(f"job {job_id} is already {job.state}")
+            job = self._store.live(job_id)
             if job.state == QUEUED:
                 self._queue.remove(job)  # no-op for coalesced followers
                 self._set_depth()
@@ -411,9 +393,7 @@ class PlacementService:
 
     async def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Await a job's terminal state and return it."""
-        job = self._store.get(job_id)
-        await asyncio.wait_for(self._done_events[job_id].wait(), timeout)
-        return job
+        return await self._store.wait(job_id, timeout)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -423,7 +403,7 @@ class PlacementService:
         """The ``/v1/healthz`` payload."""
         return {
             "ok": True,
-            "status": "draining" if self._draining else "serving",
+            "status": "draining" if self._store.draining else "serving",
             "uptime_seconds": time.time() - self.started_at,
             "queue_depth": self._queue.qsize(),
             "capacity": self.config.capacity,
@@ -470,8 +450,7 @@ class PlacementService:
         """
         from .. import api
 
-        if not isinstance(request, dict):
-            raise ValueError(f"request must be a dict, got {type(request).__name__}")
+        check_request(request, _REQUEST_KEYS)
         design = request.get("design")
         if not isinstance(design, str) or not design:
             raise ValueError("request needs a 'design' benchmark name")
@@ -485,15 +464,7 @@ class PlacementService:
             timeout = float(timeout)
             if timeout <= 0:
                 raise ValueError("request 'timeout' must be positive")
-        priority = request.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ValueError("request 'priority' must be an int")
-        client_id = request.get("client_id", "default")
-        if not isinstance(client_id, str) or not client_id:
-            raise ValueError("request 'client_id' must be a non-empty string")
-        unknown = set(request) - _REQUEST_KEYS
-        if unknown:
-            raise ValueError(f"unknown request keys: {sorted(unknown)}")
+        priority, client_id = scheduling_hints(request, "default")
         normalized = {
             "design": design,
             "flow": flow,
@@ -504,15 +475,12 @@ class PlacementService:
 
     def _admit(self, normalized: dict, key: str, timeout, client_id: str,
                priority: int) -> Job:
-        """Create a job plus its events/waiters bookkeeping."""
+        """Create a job plus its cancel bookkeeping."""
         job = self._store.create(
             normalized, key=key, timeout=timeout,
             client_id=client_id, priority=priority,
         )
-        self._done_events[job.id] = asyncio.Event()
         self._cancel_events[job.id] = asyncio.Event()
-        self._events.register(job.id)
-        self._events.publish(job.id, "state", state=QUEUED)
         self.counts["submitted"] += 1
         obs.counter("serve/submitted").inc()
         return job
@@ -522,17 +490,13 @@ class PlacementService:
 
     def _finish(self, job: Job, state: str, result=None, error=None,
                 cache_hit: bool = False) -> None:
-        job.transition(state)
-        job.result = result
-        job.error = error
-        job.cache_hit = cache_hit
+        self._store.move(job, state, result=result, error=error,
+                         cache_hit=cache_hit)
         self.counts[state] += 1
         obs.counter(f"serve/{state}").inc()
         if cache_hit:
             self.counts["cache_hits"] += 1
             obs.counter("serve/cache_hit").inc()
-        self._events.publish(job.id, "state", state=state)
-        self._done_events[job.id].set()
         if self._primary.get(job.key) == job.id:
             del self._primary[job.key]
             self._settle_followers(job)
@@ -557,7 +521,7 @@ class PlacementService:
             for job in pending:
                 self._finish(job, DONE, result=primary.result)
             return
-        if self._draining or self._queue.full():
+        if self._store.draining or self._queue.full():
             for job in pending:
                 self._finish(
                     job, CANCELLED,
@@ -586,8 +550,7 @@ class PlacementService:
                 self._queue.task_done()
 
     async def _run_job(self, job: Job, shard: ProcessShard | None = None) -> None:
-        job.transition(RUNNING)
-        self._events.publish(job.id, "state", state=RUNNING)
+        self._store.move(job, RUNNING)
         if shard is not None:
             job.shard = shard.index
         cancel_event = self._cancel_events[job.id]
@@ -691,13 +654,12 @@ class PlacementService:
         job's done event, so a finished job never waits out a poll
         interval before its worker slot frees up.
         """
-        done = self._done_events[job.id]
         offset = 0
         try:
             while not job.terminal:
                 offset = self._publish_progress(job, path, offset)
                 try:
-                    await asyncio.wait_for(done.wait(), self.config.progress_poll)
+                    await self._store.wait(job.id, self.config.progress_poll)
                 except asyncio.TimeoutError:
                     pass
             self._publish_progress(job, path, offset)
@@ -710,7 +672,7 @@ class PlacementService:
     def _publish_progress(self, job: Job, path: str, offset: int) -> int:
         samples, offset = read_new_progress(path, offset)
         for sample in samples:
-            self._events.publish(job.id, "progress", progress=sample)
+            self._store.log.publish(job.id, "progress", progress=sample)
             obs.counter("serve/progress_events").inc()
         return offset
 

@@ -1,30 +1,35 @@
 """Stateful ECO sessions on the placement service.
 
 A session owns a converged :class:`repro.eco.EcoSession` and accepts
-incremental deltas keyed to it.  The lifecycle::
-
-    initializing ──► ready ⇄ busy ──► closed
-          │                    │
-          └──────► failed ◄────┘
-
-The cold start runs in a worker thread while the session reports
-``initializing``; deltas submitted to a session are applied strictly in
-submission order (an asyncio lock serializes them — incremental state is
-inherently sequential), each as its own tracked :class:`DeltaJob` with
-``queued -> running -> done/failed`` states.  Closing a session (or
-draining the service) releases the retained engine state — sessions are
-GC'd on drain, exactly like the job queue refuses new work.
+incremental deltas keyed to it, each its own :class:`DeltaJob`.  Deltas
+apply strictly in submission order (an asyncio lock serializes them —
+incremental state is inherently sequential).  Both lifecycles, and the
+drain that closes every session, are under "Resource lifecycle" in
+``docs/api.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 
 from .. import obs
 from ..schema import SchemaError
-from .jobs import QueueFullError, ServeError, ServiceClosedError
+from .jobs import (
+    DONE,
+    QUEUED,
+    RUNNING,
+    Lifecycle,
+    QueueFullError,
+    Registry,
+    Resource,
+    ResourceStateError,
+    UnknownResourceError,
+    check_request,
+)
+
+#: Request keys accepted by ``POST /v1/sessions``.
+_SESSION_KEYS = frozenset({"design", "config", "eco", "verify"})
 
 #: Session lifecycle states.
 INITIALIZING = "initializing"
@@ -33,41 +38,41 @@ BUSY = "busy"
 FAILED = "failed"
 CLOSED = "closed"
 
-SESSION_STATES = (INITIALIZING, READY, BUSY, FAILED, CLOSED)
 
-#: Delta lifecycle states (a subset of the job lifecycle).
-DELTA_QUEUED = "queued"
-DELTA_RUNNING = "running"
-DELTA_DONE = "done"
-DELTA_FAILED = "failed"
-
-
-class UnknownSessionError(ServeError, KeyError):
+class UnknownSessionError(UnknownResourceError):
     """A session id with no entry in the manager."""
 
-    def __init__(self, session_id: str, message: str | None = None) -> None:
-        self.session_id = session_id
-        self._message = message or f"unknown session {session_id!r}"
-        super().__init__(self._message)
-
-    def __str__(self) -> str:
-        return self._message
+    kind = "session"
 
 
-class UnknownDeltaError(ServeError, KeyError):
+class UnknownDeltaError(UnknownResourceError):
     """A delta id with no entry in its session."""
 
-    def __init__(self, delta_id: str, message: str | None = None) -> None:
-        self.delta_id = delta_id
-        self._message = message or f"unknown delta {delta_id!r}"
-        super().__init__(self._message)
-
-    def __str__(self) -> str:
-        return self._message
+    kind = "delta"
 
 
-class SessionStateError(ServeError):
+class SessionStateError(ResourceStateError):
     """An operation a session's current state does not allow."""
+
+
+SESSION_LIFECYCLE = Lifecycle("session", {
+    INITIALIZING: {READY, FAILED, CLOSED},
+    READY: {BUSY, CLOSED},
+    BUSY: {READY, FAILED, CLOSED},
+    FAILED: {CLOSED},
+    CLOSED: (),
+}, SessionStateError, UnknownSessionError)
+
+SESSION_STATES = SESSION_LIFECYCLE.states
+
+#: Delta lifecycle (a subset of the job lifecycle).  A delta queued on
+#: a session that closes or fails before its turn fails unrun.
+DELTA_LIFECYCLE = Lifecycle("delta", {
+    QUEUED: {RUNNING, FAILED},
+    RUNNING: {DONE, FAILED},
+    DONE: (),
+    FAILED: (),
+}, SessionStateError, UnknownDeltaError)
 
 
 def build_engine(request: dict):
@@ -81,26 +86,18 @@ def build_engine(request: dict):
     return EcoSession(request["design"], config=config, eco=eco)
 
 
-class DeltaJob:
+class DeltaJob(Resource):
     """One submitted delta and its lifecycle within a session."""
+
+    lifecycle = DELTA_LIFECYCLE
 
     def __init__(self, delta_id: str, session_id: str, payload: dict) -> None:
         self.id = delta_id
         self.session = session_id
         self.payload = payload
-        self.state = DELTA_QUEUED
+        self.state = QUEUED
         self.result: dict | None = None
-        self.error: str | None = None
         self.submitted_at = time.time()
-        self.finished_at: float | None = None
-        self.done_event = asyncio.Event()
-
-    def finish(self, state: str, result=None, error=None) -> None:
-        self.state = state
-        self.result = result
-        self.error = error
-        self.finished_at = time.time()
-        self.done_event.set()
 
     def to_wire(self) -> dict:
         return {
@@ -115,28 +112,25 @@ class DeltaJob:
         }
 
 
-class Session:
-    """One live ECO session: engine + delta history + serialization lock."""
+class Session(Resource):
+    """One live ECO session: engine + delta registry + serialization lock."""
+
+    lifecycle = SESSION_LIFECYCLE
 
     def __init__(self, session_id: str, request: dict, engine) -> None:
         self.id = session_id
         self.request = request
         self.engine = engine
         self.state = INITIALIZING
-        self.error: str | None = None
         self.baseline: dict | None = None
-        self.deltas: dict = {}
+        self.deltas = Registry(DeltaJob, f"{session_id}-d")
         self.created_at = time.time()
         self.lock = asyncio.Lock()
         self.ready_event = asyncio.Event()
-        self._delta_ids = itertools.count(1)
 
     @property
     def open(self) -> bool:
         return self.state in (INITIALIZING, READY, BUSY)
-
-    def next_delta_id(self) -> str:
-        return f"{self.id}-d{next(self._delta_ids)}"
 
     def to_wire(self) -> dict:
         """The JSON-safe status dict served over HTTP."""
@@ -146,13 +140,13 @@ class Session:
             "request": self.request,
             "version": getattr(self.engine, "version", -1),
             "baseline": self.baseline,
-            "deltas": [d.to_wire() for d in self.deltas.values()],
+            "deltas": [d.to_wire() for d in self.deltas.list()],
             "error": self.error,
             "created_at": self.created_at,
         }
 
 
-class SessionManager:
+class SessionManager(Registry):
     """Owns every session; serializes each session's work on the loop.
 
     Args:
@@ -166,13 +160,10 @@ class SessionManager:
 
     def __init__(self, engine_factory=None, max_pending: int = 16,
                  retry_after: float = 0.5) -> None:
+        super().__init__(Session, "sess-")
         self._factory = engine_factory or build_engine
-        self._sessions: dict = {}
-        self._ids = itertools.count(1)
-        self._tasks: set = set()
         self.max_pending = max_pending
         self.retry_after = retry_after
-        self.draining = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -187,40 +178,21 @@ class SessionManager:
         (checker level applied to every delta, default ``"cheap"``).
         """
         with obs.span("serve/session", op="create"):
-            if self.draining:
-                raise ServiceClosedError(
-                    "service is draining; not accepting sessions"
-                )
+            self.check_intake("sessions")
             normalized = self._normalize(request)
             engine = self._factory(normalized)
-            session = Session(f"sess-{next(self._ids)}", normalized, engine)
-            self._sessions[session.id] = session
+            session = super().create(normalized, engine)
             obs.counter("eco/sessions").inc()
             self._spawn(self._initialize(session))
             return session
 
-    def get(self, session_id: str) -> Session:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise UnknownSessionError(session_id) from None
-
-    def sessions(self) -> list:
-        """All sessions in creation order."""
-        return list(self._sessions.values())
-
-    def counts(self) -> dict:
-        """``state -> count`` over every session state (zeros included)."""
-        counts = dict.fromkeys(SESSION_STATES, 0)
-        for session in self._sessions.values():
-            counts[session.state] += 1
-        return counts
+    sessions = Registry.list
 
     def close(self, session_id: str) -> Session:
         """Release a session's retained state (idempotent)."""
         session = self.get(session_id)
         if session.state != CLOSED:
-            session.state = CLOSED
+            self.move(session, CLOSED)
             session.ready_event.set()
             close = getattr(session.engine, "close", None)
             if close is not None:
@@ -231,8 +203,8 @@ class SessionManager:
     def close_all(self) -> None:
         """Drain-time GC: close every session and refuse new ones."""
         self.draining = True
-        for session_id in list(self._sessions):
-            self.close(session_id)
+        for session in self.list():
+            self.close(session.id)
 
     async def wait_ready(self, session_id: str, timeout: float | None = None) -> Session:
         """Await the end of initialization (ready or failed)."""
@@ -254,10 +226,7 @@ class SessionManager:
             repro.schema.SchemaError: an invalid delta payload.
         """
         with obs.span("serve/session", op="delta", session=session_id):
-            if self.draining:
-                raise ServiceClosedError(
-                    "service is draining; not accepting deltas"
-                )
+            self.check_intake("deltas")
             session = self.get(session_id)
             if not session.open:
                 raise SessionStateError(
@@ -266,29 +235,20 @@ class SessionManager:
             from ..eco import delta_from_dict
 
             delta_from_dict(payload)  # boundary validation; raises SchemaError
-            pending = sum(
-                1 for d in session.deltas.values() if d.state == DELTA_QUEUED
-            )
-            if pending >= self.max_pending:
+            if len(session.deltas.list(QUEUED)) >= self.max_pending:
                 raise QueueFullError(self.max_pending, self.retry_after)
-            delta = DeltaJob(session.next_delta_id(), session.id, dict(payload))
-            session.deltas[delta.id] = delta
+            delta = session.deltas.create(session.id, dict(payload))
             self._spawn(self._apply(session, delta))
             return delta
 
     def delta(self, session_id: str, delta_id: str) -> DeltaJob:
-        session = self.get(session_id)
-        try:
-            return session.deltas[delta_id]
-        except KeyError:
-            raise UnknownDeltaError(delta_id) from None
+        """The delta (raises :class:`UnknownDeltaError`)."""
+        return self.get(session_id).deltas.get(delta_id)
 
     async def wait_delta(self, session_id: str, delta_id: str,
                          timeout: float | None = None) -> DeltaJob:
         """Await a delta's terminal state and return it."""
-        delta = self.delta(session_id, delta_id)
-        await asyncio.wait_for(delta.done_event.wait(), timeout)
-        return delta
+        return await self.get(session_id).deltas.wait(delta_id, timeout)
 
     # ------------------------------------------------------------------
     # Internals
@@ -300,16 +260,10 @@ class SessionManager:
         from ..eco import EcoParams
         from ..verify import LEVELS
 
-        if not isinstance(request, dict):
-            raise ValueError(
-                f"session request must be a dict, got {type(request).__name__}"
-            )
+        check_request(request, _SESSION_KEYS, "session request")
         design = request.get("design")
         if not isinstance(design, str) or not design:
             raise ValueError("session request needs a 'design' benchmark name")
-        unknown = set(request) - {"design", "config", "eco", "verify"}
-        if unknown:
-            raise ValueError(f"unknown session request keys: {sorted(unknown)}")
         config = RunConfig.from_dict(request.get("config") or {})
         eco = EcoParams.from_dict(request.get("eco") or {})
         verify = request.get("verify", "cheap")
@@ -324,11 +278,6 @@ class SessionManager:
             "verify": verify,
         }
 
-    def _spawn(self, coro) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
     async def _initialize(self, session: Session) -> None:
         loop = asyncio.get_running_loop()
         async with session.lock:
@@ -338,13 +287,14 @@ class SessionManager:
                 result = await loop.run_in_executor(None, session.engine.start)
             except BaseException as exc:
                 if session.state != CLOSED:
-                    session.state = FAILED
-                    session.error = f"{type(exc).__name__}: {exc}"
+                    self.move(
+                        session, FAILED, error=f"{type(exc).__name__}: {exc}"
+                    )
                     obs.counter("eco/sessions_failed").inc()
             else:
                 session.baseline = result.to_summary()
                 if session.state == INITIALIZING:
-                    session.state = READY
+                    self.move(session, READY)
             finally:
                 session.ready_event.set()
 
@@ -352,12 +302,12 @@ class SessionManager:
         loop = asyncio.get_running_loop()
         async with session.lock:
             if not session.open:
-                delta.finish(DELTA_FAILED,
-                             error=f"session {session.id} is {session.state}")
+                session.deltas.move(
+                    delta, FAILED, error=f"session {session.id} is {session.state}"
+                )
                 return
-            delta.state = DELTA_RUNNING
-            was = session.state
-            session.state = BUSY
+            session.deltas.move(delta, RUNNING)
+            self.move(session, BUSY)
             verify = session.request.get("verify", "cheap")
             try:
                 result = await loop.run_in_executor(
@@ -365,16 +315,14 @@ class SessionManager:
                 )
             except (SchemaError, ValueError, TypeError, RuntimeError) as exc:
                 # A bad delta fails the delta, not the session.
-                delta.finish(DELTA_FAILED, error=f"{type(exc).__name__}: {exc}")
-                if session.state == BUSY:
-                    session.state = was
+                session.deltas.move(delta, FAILED, error=f"{type(exc).__name__}: {exc}")
             except BaseException as exc:
-                delta.finish(DELTA_FAILED, error=f"{type(exc).__name__}: {exc}")
+                error = f"{type(exc).__name__}: {exc}"
+                session.deltas.move(delta, FAILED, error=error)
                 if session.state == BUSY:
-                    session.state = FAILED
-                    session.error = f"{type(exc).__name__}: {exc}"
+                    self.move(session, FAILED, error=error)
             else:
-                delta.finish(DELTA_DONE, result=result.to_summary())
+                session.deltas.move(delta, DONE, result=result.to_summary())
                 obs.counter("eco/deltas_applied").inc()
-                if session.state == BUSY:
-                    session.state = READY
+            if session.state == BUSY:  # not closed or failed meanwhile
+                self.move(session, READY)

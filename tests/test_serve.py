@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -808,6 +809,28 @@ class TestHttpEndpoints:
         finally:
             shutdown()
 
+    def test_malformed_content_length_is_a_400(self):
+        client, shutdown = self.serve_in_thread(quick_runner)
+        try:
+            for length in ("abc", "1e3", "-5"):
+                request = (
+                    "POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {length}\r\n\r\n"
+                )
+                with socket.create_connection(
+                    (client.host, client.port), timeout=10
+                ) as sock:
+                    sock.sendall(request.encode("latin-1"))
+                    response = b""
+                    while chunk := sock.recv(4096):
+                        response += chunk
+                head, _sep, body = response.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400"), (length, response)
+                assert "Content-Length" in json.loads(body)["error"]
+            assert client.healthz()["ok"]  # the server kept serving
+        finally:
+            shutdown()
+
 
 class TestRealPlacement:
     def test_end_to_end_placement_through_the_service(self, tmp_path):
@@ -957,3 +980,127 @@ class TestHttpDrainAndCancellation:
         finally:
             release.set()
             shutdown()
+
+
+class _Step:
+    def __init__(self, summary):
+        self.summary = summary
+
+    def to_summary(self):
+        return dict(self.summary)
+
+
+class _Engine:
+    """Minimal ECO engine: converges and applies deltas instantly."""
+
+    version = 0
+
+    def start(self):
+        return _Step({"version": 0})
+
+    def apply(self, payload, verify="cheap"):
+        self.version += 1
+        return _Step({"version": self.version})
+
+    def close(self):
+        pass
+
+
+def _route_runner(request):
+    """A trial-shaped fake result: the evaluator reads only the route."""
+    return {"hpwl": 1.0, "route": {"total_overflow": 1.0, "wirelength": 10.0}}
+
+
+async def _drive_jobs(tmp_path):
+    def runner(request):
+        if request["flow"] == "replace":
+            raise RuntimeError("router diverged")
+        return quick_runner(request)
+
+    service = await make_service(
+        runner, cache_dir=str(tmp_path / "cache")
+    ).start()
+    for flow in ("puffer", "puffer", "replace"):  # run, cache hit, failure
+        job = service.submit(make_request("OR1200", flow=flow))
+        await service.wait(job.id, timeout=10)
+    await service.stop()
+    return service.healthz()["jobs"], 3
+
+
+async def _drive_sessions(tmp_path):
+    from repro.serve import SessionManager
+
+    manager = SessionManager(engine_factory=lambda request: _Engine())
+    session = manager.create({"design": "OR1200"})
+    await manager.wait_ready(session.id, timeout=10)
+    delta = manager.submit_delta(
+        session.id, {"kind": "resize_cell", "cell": 1, "width": 4.0}
+    )
+    await manager.wait_delta(session.id, delta.id, timeout=10)
+    manager.close(session.id)
+    return manager.counts(), 1
+
+
+async def _drive_explorations(tmp_path):
+    service = await make_service(_route_runner).start()
+    config = api.ExploreConfig(budget=2, priors="off")
+    exploration = service.explorations.create({"config": config.to_dict()})
+    await service.explorations.wait(exploration.id, timeout=60)
+    await service.stop()
+    return service.explorations.counts(), 1
+
+
+class TestResourceLifecycle:
+    """Every kind's lifecycle table is the one its manager follows."""
+
+    @pytest.mark.parametrize("kind", ["job", "session", "exploration"])
+    def test_lifecycle_table(self, kind, monkeypatch, tmp_path):
+        from repro.serve import (
+            Exploration,
+            ExplorationStateError,
+            ResourceStateError,
+            ServeError,
+            Session,
+            SessionStateError,
+        )
+        from repro.serve.jobs import Resource
+
+        fresh, state_error, drive = {
+            "job": (lambda: Job(id="job-1", request={}, key="k"),
+                    JobStateError, _drive_jobs),
+            "session": (lambda: Session("sess-1", {}, _Engine()),
+                        SessionStateError, _drive_sessions),
+            "exploration": (lambda: Exploration(id="explore-1", config=None),
+                            ExplorationStateError, _drive_explorations),
+        }[kind]
+        lifecycle = type(fresh()).lifecycle
+        assert lifecycle.kind == kind and lifecycle.state_error is state_error
+
+        # Every move the managers make is in the mover's table.
+        moves = []
+        transition = Resource.transition
+
+        def recording(resource, state):
+            moves.append((type(resource).lifecycle, resource.state, state))
+            transition(resource, state)
+
+        monkeypatch.setattr(Resource, "transition", recording)
+        counts, created = run_async(drive(tmp_path))
+        assert any(table is lifecycle for table, _src, _dst in moves)
+        for table, src, dst in moves:
+            assert dst in table.moves[src], (table.kind, src, dst)
+
+        # counts() lists every state of the kind, zeros included.
+        assert list(counts) == list(lifecycle.states)
+        assert sum(counts.values()) == created
+        assert 0 in counts.values()
+
+        # An illegal move raises the kind's state error.
+        resource = fresh()
+        illegal = next(
+            s for s in lifecycle.states if s not in lifecycle.moves[resource.state]
+        )
+        with pytest.raises(state_error) as info:
+            resource.transition(illegal)
+        assert isinstance(info.value, ResourceStateError)
+        assert isinstance(info.value, ServeError)

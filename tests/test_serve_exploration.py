@@ -365,6 +365,36 @@ class TestExplorationHttp:
         )
         assert created["id"] in [e["id"] for e in filtered["explorations"]]
 
+    def test_follow_exploration_in_process_and_over_http(self, server):
+        from repro.serve import TERMINAL, HttpServiceClient
+
+        config = api.ExploreConfig(budget=3, batch_size=2, priors="off")
+
+        async def follow(client, exploration_id):
+            return [
+                event async for event in
+                client.follow_exploration(exploration_id, timeout=60)
+            ]
+
+        with LocalServiceHost(
+            ServiceConfig(workers=2), runner=_explore_runner
+        ) as host:
+            exploration = _on_loop(host, host.client.create_exploration, config)
+            local = _on_loop(host, follow, host.client, exploration.id)
+        client = HttpServiceClient(*server)
+        created = client.create_exploration(config)
+        remote = list(client.follow_exploration(created["id"], timeout=60))
+
+        for events in (local, remote):
+            seqs = [event.seq for event in events]
+            assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+            assert any(event.kind == "trial" for event in events)
+            ends = [
+                i for i, event in enumerate(events)
+                if event.kind == "state" and event.state in TERMINAL
+            ]
+            assert ends == [len(events) - 1]
+
     def test_error_statuses(self, server):
         status, _, payload = self.request(
             server, "GET", "/v1/explorations/explore-404"
