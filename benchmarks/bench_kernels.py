@@ -21,6 +21,12 @@ Abacus legalizer) and ``steiner`` (batched per-net RSMT construction on
 a netlist-like degree mix).  Their speedups are regression-checked
 against the committed baseline rather than floored.
 
+When the compiled backend built, the same maze batch also runs on it:
+``maze_native_seconds`` and ``maze_native_speedup`` (over vectorized,
+floored at 3x by ``check_regression.py``), after checking its routes are
+identical to the vectorized ones.  Without a compiler the report lists
+both keys under ``unavailable``.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--quick] [--repeats N]
@@ -35,7 +41,8 @@ import time
 
 import numpy as np
 
-from repro.kernels import reference, vectorized
+from repro import kernels
+from repro.kernels import native, reference, vectorized
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
@@ -167,8 +174,8 @@ def bench_density(cfg, repeats):
     )
 
 
-def bench_maze(cfg, repeats):
-    """A batch of congested window routes (history walls on the grid)."""
+def _maze_batch(cfg):
+    """``run_all(mod)``: a batch of congested window routes (history walls)."""
     rng = np.random.default_rng(3)
     g = cfg["maze_grid"]
     cost_h = 1.0 + 4.0 * rng.random((g, g))
@@ -192,6 +199,12 @@ def bench_maze(cfg, repeats):
             for gx0, gy0, gx1, gy1 in segments
         ]
 
+    return cost_h, cost_v, run_all
+
+
+def bench_maze(cfg, repeats):
+    """A batch of congested window routes (history walls on the grid)."""
+    cost_h, cost_v, run_all = _maze_batch(cfg)
     for ref_route, vec_route in zip(run_all(reference), run_all(vectorized)):
         assert (ref_route is None) == (vec_route is None)
         if ref_route is None:
@@ -204,6 +217,19 @@ def bench_maze(cfg, repeats):
         best_of(lambda: run_all(reference), max(repeats // 2, 1)),
         best_of(lambda: run_all(vectorized), repeats),
     )
+
+
+def bench_maze_native(cfg, repeats):
+    """The maze batch on the compiled backend; routes must be identical."""
+    _, _, run_all = _maze_batch(cfg)
+    for nat_route, vec_route in zip(run_all(native), run_all(vectorized)):
+        same = (nat_route is None) == (vec_route is None) and (
+            nat_route is None
+            or all(np.array_equal(a, b) for a, b in zip(nat_route, vec_route))
+        )
+        if not same:
+            raise AssertionError("maze: native routes differ from vectorized")
+    return best_of(lambda: run_all(native), repeats)
 
 
 def bench_abacus(cfg, repeats):
@@ -309,6 +335,18 @@ def main(argv=None) -> int:
             f"vectorized {vec_wall * 1e3:8.1f} ms   "
             f"{report[f'{name}_speedup']:6.2f}x"
         )
+    if "native" in kernels.BACKENDS:
+        nat_wall = bench_maze_native(cfg, args.repeats)
+        report["maze_native_seconds"] = round(nat_wall, 5)
+        report["maze_native_speedup"] = round(
+            report["maze_vectorized_seconds"] / max(nat_wall, 1e-12), 2
+        )
+        print(
+            f"{'maze':8s} native     {nat_wall * 1e3:8.1f} ms   "
+            f"{report['maze_native_speedup']:6.2f}x over vectorized"
+        )
+    else:
+        report["unavailable"] = ["maze_native_seconds", "maze_native_speedup"]
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w") as f:

@@ -301,8 +301,8 @@ def _add_runtime_args(parser, jobs: bool = True, verify: bool = False) -> None:
     )
     parser.add_argument(
         "--kernels", default=None, choices=list(kernels.BACKENDS),
-        help="numpy kernel backend for the hot paths "
-        f"(default: ${kernels.ENV_VAR} or 'vectorized')",
+        help="kernel backend for the hot paths "
+        f"(default: ${kernels.ENV_VAR} or {kernels.BACKENDS[0]!r})",
     )
     if verify:
         parser.add_argument(

@@ -2,20 +2,37 @@
 
 The congestion estimator, the RUDY baseline, the electrostatic density
 map, and the maze router all funnel their inner loops through this
-module.  Two interchangeable backends implement every kernel:
+module.  Three interchangeable backends implement every kernel:
 
-* ``"vectorized"`` (the default) — whole-batch numpy formulations
-  (:mod:`repro.kernels.vectorized`).
+* ``"native"`` (the default whenever it builds) — ``maze_search`` is a
+  C port of the vectorized sweep (:mod:`repro.kernels.native`),
+  compiled with the system ``cc`` and loaded with :mod:`ctypes`; the
+  other kernels are the vectorized ones.  Its routes are bit-identical
+  to ``"vectorized"``.
+* ``"vectorized"`` — whole-batch numpy formulations
+  (:mod:`repro.kernels.vectorized`); the default, and the only fast
+  path, on a machine without a C compiler.
 * ``"reference"`` — the original per-object loops, kept as the golden
   implementation (:mod:`repro.kernels.reference`).
 
+The native library is built when this package is first imported, never
+inside a timed run: flags ``-O2 -fPIC -shared -ffp-contract=off`` (no
+FMA contraction, which would round differently from numpy; never
+``-ffast-math`` or ``-march=native``).  It is cached in the package's
+``__pycache__/`` keyed by a hash of the C source, the flags and the
+platform tag, so later imports start no process.  Without a compiler,
+or when the build fails, ``"native"`` is simply absent from
+:data:`BACKENDS`.
+
 Select a backend globally with :func:`use`, temporarily with
 :func:`using`, per process with the ``REPRO_KERNELS`` environment
-variable, or per CLI run with ``--kernels``.  Backends agree to
-``allclose`` tolerance (``rtol=1e-9``, plus ``atol`` of a few ulps of
-the accumulated magnitude) on the map kernels and to equal path cost on
-the maze kernel; ``tests/test_kernels.py`` holds the golden-equivalence
-suite and ``benchmarks/bench_kernels.py`` the speedup measurements.
+variable, or per CLI run with ``--kernels``.  Worker pools of
+:class:`repro.runtime.TaskExecutor` inherit the parent's selection.
+``vectorized`` and ``reference`` agree to ``allclose`` tolerance
+(``rtol=1e-9``, plus ``atol`` of a few ulps of the accumulated
+magnitude) on the map kernels and to equal path cost on the maze
+kernel; ``tests/test_kernels.py`` holds the golden-equivalence suite
+and ``benchmarks/bench_kernels.py`` the speedup measurements.
 
 Kernel inventory (full contracts in the backend docstrings):
 
@@ -40,16 +57,15 @@ import os
 import warnings
 from contextlib import contextmanager
 
-from . import reference, vectorized
+from . import native, reference, vectorized
 
-BACKENDS = ("vectorized", "reference")
 ENV_VAR = "REPRO_KERNELS"
 
-_MODULES = {"vectorized": vectorized, "reference": reference}
+_MODULES = {"native": native, "vectorized": vectorized, "reference": reference}
 
 
 def _validated(name: str) -> str:
-    if name not in _MODULES:
+    if name not in BACKENDS:
         raise ValueError(
             f"unknown kernel backend {name!r}; expected one of {BACKENDS}"
         )
@@ -57,8 +73,8 @@ def _validated(name: str) -> str:
 
 
 def _from_env() -> str:
-    name = os.environ.get(ENV_VAR, "vectorized")
-    if name not in _MODULES:
+    name = os.environ.get(ENV_VAR, BACKENDS[0])
+    if name not in BACKENDS:
         warnings.warn(
             f"{ENV_VAR}={name!r} is not one of {BACKENDS}; using 'vectorized'",
             stacklevel=2,
@@ -67,7 +83,19 @@ def _from_env() -> str:
     return name
 
 
-_active = _from_env()
+def _resolve() -> None:
+    """Build or load the native library, then pick the active backend.
+
+    Sets :data:`BACKENDS` (the default first) and the active backend
+    from ``REPRO_KERNELS``.
+    """
+    global BACKENDS, _active
+    BACKENDS = tuple(name for name in _MODULES if name != "native" or native.load())
+    _active = _from_env()
+
+
+BACKENDS: tuple = ()  # set, with the active backend, by _resolve()
+_resolve()
 
 
 def current() -> str:

@@ -8,9 +8,11 @@ the new direction — consistent with the run-based accounting of
 :mod:`repro.router.pattern`.
 
 The search itself lives in :mod:`repro.kernels` (``maze_search``): the
-``"reference"`` backend is the historical A*, the ``"vectorized"``
-backend a batched label-correcting wavefront.  Both return the same
-charged-cell accounting at equal path cost.
+default ``"native"`` backend is a compiled C port of the
+``"vectorized"`` backend's label-correcting wavefront (directional
+min-scans per sweep) and returns bit-identical cells; the
+``"reference"`` backend is the historical A*.  All three return the
+same charged-cell accounting at equal path cost.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Given a placed design, the router decomposes every net into two-point
 segments via RSMT, pattern-routes them congestion-aware (straight / best
 L), then negotiates residual overflow with history-based rip-up and
-bounded A* maze rerouting.  It reports the same quantities the paper
+windowed maze rerouting (a cheapest-path wavefront search, see
+:mod:`repro.router.maze`).  It reports the same quantities the paper
 reads off the Innovus global router: per-direction overflow ratios
 ("HOF"/"VOF"), routed wirelength, and congestion maps.
 

@@ -51,7 +51,7 @@ import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from .. import obs
+from .. import kernels, obs
 from .errors import TaskExecutionError, TaskTimeoutError, WorkerCrashError
 from .progress import (
     POOL_RESTARTED,
@@ -287,8 +287,11 @@ class TaskExecutor:
         return pool_tasks, inline_tasks
 
     def _make_pool(self) -> cf.ProcessPoolExecutor:
+        # Workers started by spawn/forkserver import repro afresh and
+        # would resolve the default backend, not the parent's choice.
         return cf.ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=self.mp_context
+            max_workers=self.jobs, mp_context=self.mp_context,
+            initializer=kernels.use, initargs=(kernels.current(),),
         )
 
     def _acquire_pool(self) -> cf.ProcessPoolExecutor:

@@ -5,15 +5,16 @@ PUFFER's quality claims rest on properties the rest of the code only
 assumes: legalized placements are overlap-free, row/site-aligned, and
 inside the die; discrete padding respects the area budget; netlists are
 structurally sound; routing accounting is self-consistent; and the
-vectorized kernels stay equivalent to the reference loops.  This package
+fast kernel backends stay equivalent to the reference loops.  This package
 makes every one of those properties *checkable*:
 
 * :func:`run_checkers` drives the checker registry over a
   :class:`VerifyContext` and returns a :class:`VerifyReport` of
   structured :class:`Violation` records — no raising, no string parsing.
-* :func:`run_differential` runs the same generated design through both
-  kernel backends (map stages, the router, and the placer → legalizer
-  flow) and diffs the outputs within stated tolerances.
+* :func:`run_differential` runs the same generated design through every
+  available kernel backend (map stages, the router, and the placer →
+  legalizer flow) and diffs each against the reference backend within
+  stated tolerances.
 
 Entry points: ``RunConfig(verify="cheap"|"full")`` on the
 :mod:`repro.api` facade, ``--verify`` on the CLI run commands, and the

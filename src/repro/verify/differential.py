@@ -1,12 +1,13 @@
 """Cross-backend differential harness.
 
-The vectorized kernels of :mod:`repro.kernels` are only trustworthy
-while they stay equivalent to the reference loops *as both evolve*; the
+The fast kernels of :mod:`repro.kernels` are only trustworthy while
+they stay equivalent to the reference loops *as both evolve*; the
 golden unit tests pin the kernels in isolation, and this harness pins
 the composed system: the same randomized designs run through every
 map-building stage, through the evaluation router, and through the full
-placer → legalizer flow under each backend, and the outputs are diffed
-within stated tolerances.
+placer → legalizer flow under every available backend, and each fast
+backend's outputs are diffed against the reference backend's within
+stated tolerances.
 
 Two tolerance regimes apply, deliberately:
 
@@ -36,8 +37,9 @@ from ..placer import PlacementParams
 from ..router import GlobalRouter, RouterParams
 from .checkers import VerifyContext, run_checkers
 
-#: The two backends every case runs under, golden one first.
-BACKENDS = ("reference", "vectorized")
+#: The backends every case runs under, golden one first: each other
+#: available backend is diffed against it.
+BACKENDS = ("reference",) + tuple(b for b in kernels.BACKENDS if b != "reference")
 
 #: Map-stage agreement (single kernel evaluation, no feedback).
 MAP_RTOL = 1e-9
@@ -125,6 +127,7 @@ class DiffReport:
             mark = "ok " if c.ok else "FAIL"
             lines.append(
                 f"  {mark} {c.name:<24} err {c.measured:.3e} tol {c.tolerance:.3e}"
+                f"  {c.detail}"
             )
         for backend, inv in sorted(self.invariants.items()):
             lines.append(
@@ -134,16 +137,18 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _both(fn):
-    """Evaluate ``fn()`` under each backend: ``(reference, vectorized)``."""
-    with kernels.using(BACKENDS[0]):
-        ref = fn()
-    with kernels.using(BACKENDS[1]):
-        vec = fn()
-    return ref, vec
+def _each(fn) -> dict:
+    """Evaluate ``fn()`` under every backend: ``{backend: value}``."""
+    values = {}
+    for backend in BACKENDS:
+        with kernels.using(backend):
+            values[backend] = fn()
+    return values
 
 
-def _map_case(name: str, ref: np.ndarray, vec: np.ndarray) -> DiffCase:
+def _map_case(
+    name: str, ref: np.ndarray, vec: np.ndarray, backend: str = "vectorized"
+) -> DiffCase:
     ref = np.asarray(ref, dtype=np.float64)
     vec = np.asarray(vec, dtype=np.float64)
     if ref.shape != vec.shape:
@@ -152,14 +157,19 @@ def _map_case(name: str, ref: np.ndarray, vec: np.ndarray) -> DiffCase:
             measured=float("inf"),
             tolerance=MAP_ATOL,
             ok=False,
-            detail=f"shape mismatch {ref.shape} vs {vec.shape}",
+            detail=f"{backend}: shape mismatch {ref.shape} vs {vec.shape}",
         )
     err = float(np.abs(ref - vec).max()) if ref.size else 0.0
     bound = MAP_ATOL + MAP_RTOL * float(np.abs(ref).max() if ref.size else 0.0)
-    return DiffCase(name=name, measured=err, tolerance=bound, ok=err <= bound)
+    return DiffCase(
+        name=name, measured=err, tolerance=bound, ok=err <= bound,
+        detail=f"{backend} vs {BACKENDS[0]}",
+    )
 
 
-def _metric_case(name: str, a: float, b: float, *, rtol=0.0, atol=0.0) -> DiffCase:
+def _metric_case(
+    name: str, a: float, b: float, *, rtol=0.0, atol=0.0, backend: str = "vectorized"
+) -> DiffCase:
     err = abs(a - b)
     bound = atol + rtol * max(abs(a), abs(b))
     return DiffCase(
@@ -167,7 +177,7 @@ def _metric_case(name: str, a: float, b: float, *, rtol=0.0, atol=0.0) -> DiffCa
         measured=float(err),
         tolerance=float(bound),
         ok=err <= bound,
-        detail=f"{BACKENDS[0]}={a:.6g} {BACKENDS[1]}={b:.6g}",
+        detail=f"{BACKENDS[0]}={a:.6g} {backend}={b:.6g}",
     )
 
 
@@ -178,24 +188,28 @@ def diff_maps(design) -> list:
     from ..placer.density import ElectrostaticDensity
     from ..router.grid import build_grid
 
-    cases = []
     grid = build_grid(design)
     topologies = build_topologies(design, grid)
-    ref, vec = _both(lambda: accumulate_demand(design, grid, topologies))
-    cases.append(_map_case("maps/demand_h", ref.dmd_h, vec.dmd_h))
-    cases.append(_map_case("maps/demand_v", ref.dmd_v, vec.dmd_v))
 
-    ref, vec = _both(lambda: rudy_maps(design)[:2])
-    cases.append(_map_case("maps/rudy_h", ref[0], vec[0]))
-    cases.append(_map_case("maps/rudy_v", ref[1], vec[1]))
-
-    def density():
+    def maps():
+        demand = accumulate_demand(design, grid, topologies)
+        rudy_h, rudy_v = rudy_maps(design)[:2]
         system = ElectrostaticDensity(design, PlacementParams())
-        return system.movable_density(design.x, design.y)
+        return {
+            "maps/demand_h": demand.dmd_h,
+            "maps/demand_v": demand.dmd_v,
+            "maps/rudy_h": rudy_h,
+            "maps/rudy_v": rudy_v,
+            "maps/density": system.movable_density(design.x, design.y),
+        }
 
-    ref, vec = _both(density)
-    cases.append(_map_case("maps/density", ref, vec))
-    return cases
+    values = _each(maps)
+    golden = values[BACKENDS[0]]
+    return [
+        _map_case(name, golden[name], values[backend][name], backend=backend)
+        for backend in BACKENDS[1:]
+        for name in golden
+    ]
 
 
 def diff_route(design, router: RouterParams | None = None) -> list:
@@ -205,14 +219,24 @@ def diff_route(design, router: RouterParams | None = None) -> list:
     committed demand feeds back into later costs, so the comparison is
     on report metrics with loose tolerances.
     """
-    ref, vec = _both(lambda: GlobalRouter(design, router).run())
-    return [
-        _metric_case("route/hof", ref.hof, vec.hof, atol=OVERFLOW_ATOL),
-        _metric_case("route/vof", ref.vof, vec.vof, atol=OVERFLOW_ATOL),
-        _metric_case(
-            "route/wirelength", ref.wirelength, vec.wirelength, rtol=WIRELENGTH_RTOL
-        ),
-    ]
+    reports = _each(lambda: GlobalRouter(design, router).run())
+    ref = reports[BACKENDS[0]]
+    cases = []
+    for backend in BACKENDS[1:]:
+        other = reports[backend]
+        cases += [
+            _metric_case(
+                "route/hof", ref.hof, other.hof, atol=OVERFLOW_ATOL, backend=backend
+            ),
+            _metric_case(
+                "route/vof", ref.vof, other.vof, atol=OVERFLOW_ATOL, backend=backend
+            ),
+            _metric_case(
+                "route/wirelength", ref.wirelength, other.wirelength,
+                rtol=WIRELENGTH_RTOL, backend=backend,
+            ),
+        ]
+    return cases
 
 
 def diff_flow(
@@ -254,9 +278,11 @@ def diff_flow(
         _metric_case(
             "flow/hpwl",
             results[BACKENDS[0]].hpwl,
-            results[BACKENDS[1]].hpwl,
+            results[backend].hpwl,
             rtol=HPWL_RTOL,
+            backend=backend,
         )
+        for backend in BACKENDS[1:]
     ]
     return cases, invariants, results
 

@@ -7,32 +7,41 @@ die boundary, and adversarial cost maps for the maze.  Tolerances: map
 kernels agree to ``allclose(rtol=1e-9, atol=1e-9)`` (the backends sum
 the same terms in different orders); the maze agrees on path *cost* to
 ``1e-6`` relative (ties may break to a different equal-cost path).
+The compiled ``native`` maze is pinned *bit-identical* to the vectorized
+one: same cells, and the same routed result through the router and an
+ECO reroute.
 """
 
 from __future__ import annotations
 
+import copy
+import os
+import subprocess
+
 import numpy as np
 import pytest
 
-from repro import kernels
+from repro import kernels, obs
 from repro.benchgen import GeneratorSpec, generate_design
 from repro.core.congestion import CongestionEstimator
 from repro.core.demand import accumulate_demand, build_topologies
 from repro.core.rudy import rudy_maps
+from repro.kernels import native
 from repro.netlist import DesignBuilder, Rect, Technology
 from repro.placer.density import ElectrostaticDensity
 from repro.placer.params import PlacementParams
+from repro.router import GlobalRouter, reroute_nets
 from repro.router.grid import build_grid
 from repro.router.maze import maze_route
 
 MAPS_TOL = dict(rtol=1e-9, atol=1e-9)
 
 
-def both_backends(fn):
-    """Evaluate ``fn()`` under each backend; returns (reference, vectorized)."""
-    with kernels.using("reference"):
+def both_backends(fn, first="reference", second="vectorized"):
+    """Evaluate ``fn()`` under two backends; returns (first, second)."""
+    with kernels.using(first):
         ref = fn()
-    with kernels.using("vectorized"):
+    with kernels.using(second):
         vec = fn()
     return ref, vec
 
@@ -43,9 +52,11 @@ def both_backends(fn):
 
 
 class TestDispatch:
-    def test_default_is_vectorized(self, monkeypatch):
+    def test_default_is_native_when_built(self, monkeypatch):
         monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        assert kernels._from_env() == "vectorized"
+        expected = "native" if "native" in kernels.BACKENDS else "vectorized"
+        assert kernels._from_env() == expected
+        assert kernels.BACKENDS[0] == expected
 
     def test_use_returns_previous_and_switches(self):
         ambient = kernels.current()
@@ -392,6 +403,200 @@ class TestMazeEquivalence:
         vec_cost = _route_cost(vec, cost_h, cost_v)
         assert vec_cost == pytest.approx(ref_cost, rel=1e-9)
         assert ref_cost < 100.0  # both detoured over the top
+
+
+# ----------------------------------------------------------------------
+# Native backend: build, fallback, and bit-identity with vectorized
+# ----------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(
+    "native" not in kernels.BACKENDS, reason="no C compiler: native backend not built"
+)
+
+
+@pytest.fixture
+def re_resolve(monkeypatch):
+    """Undo the test's patches, then resolve the backends afresh."""
+    ambient = kernels.current()
+    yield
+    monkeypatch.undo()
+    kernels._resolve()
+    kernels.use(ambient)
+
+
+def _assert_same_route(nat, vec):
+    assert (nat is None) == (vec is None)
+    if nat is not None:
+        for a, b in zip(nat, vec):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+
+
+def _cost_maps(rng, kind, nx, ny):
+    if kind == "ties":  # all-ones: many equal-cost paths
+        return np.ones((nx, ny)), np.ones((nx, ny))
+    if kind == "integer":  # small integer costs: ties at every scale
+        return (
+            rng.integers(1, 4, (nx, ny)).astype(np.float64),
+            rng.integers(1, 4, (nx, ny)).astype(np.float64),
+        )
+    cost_h = 1.0 + 9.0 * rng.random((nx, ny))
+    cost_v = 1.0 + 9.0 * rng.random((nx, ny))
+    if kind == "walls":
+        for _ in range(3):
+            cost_h[int(rng.integers(0, nx)), :] += 500.0
+            cost_v[:, int(rng.integers(0, ny))] += 500.0
+    return cost_h, cost_v
+
+
+@needs_native
+class TestNativeMaze:
+    @pytest.mark.parametrize("kind", ["ties", "integer", "random", "walls"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_vectorized(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            nx, ny = (int(v) for v in rng.integers(2, 30, 2))
+            cost_h, cost_v = _cost_maps(rng, kind, nx, ny)
+            gx0, gx1 = (int(v) for v in rng.integers(0, nx, 2))
+            gy0, gy1 = (int(v) for v in rng.integers(0, ny, 2))
+            if (gx0, gy0) == (gx1, gy1):
+                continue
+            # Margin 0 (bbox only) through margins that clamp at the die.
+            margin = int(rng.integers(0, 12))
+            _assert_same_route(*both_backends(
+                lambda: maze_route(gx0, gy0, gx1, gy1, cost_h, cost_v, margin),
+                "native",
+            ))
+
+    def test_tie_heavy_small_windows(self):
+        # Equal-cost predecessors on both sides are rare; this stream
+        # holds several windows where the backtrack's predecessor order
+        # decides the route.
+        rng = np.random.default_rng(0)
+        for t in range(8000):
+            nx, ny = (int(v) for v in rng.integers(2, 12, 2))
+            if t % 3 == 0:
+                cost_h, cost_v = np.ones((nx, ny)), np.ones((nx, ny))
+            elif t % 3 == 1:
+                cost_h = rng.integers(1, 3, (nx, ny)).astype(np.float64)
+                cost_v = rng.integers(1, 3, (nx, ny)).astype(np.float64)
+            else:  # one map for both directions
+                cost_h = rng.integers(1, 4, (nx, ny)).astype(np.float64)
+                cost_v = cost_h.copy()
+            gx0, gx1 = (int(v) for v in rng.integers(0, nx, 2))
+            gy0, gy1 = (int(v) for v in rng.integers(0, ny, 2))
+            if (gx0, gy0) == (gx1, gy1):
+                continue
+            margin = int(rng.integers(0, 4))
+            _assert_same_route(*both_backends(
+                lambda: maze_route(gx0, gy0, gx1, gy1, cost_h, cost_v, margin),
+                "native",
+            ))
+
+    def test_boundary_corners_and_one_wide_windows(self):
+        cost_h, cost_v = _cost_maps(np.random.default_rng(7), "walls", 12, 9)
+        cases = [
+            (0, 0, 11, 8, 0), (11, 8, 0, 0, 20),  # corner to corner, clamped
+            (0, 4, 11, 4, 0), (5, 0, 5, 8, 0),  # one-wide windows
+            (0, 0, 1, 0, 0), (11, 8, 11, 7, 3),  # adjacent at the edge
+        ]
+        for gx0, gy0, gx1, gy1, margin in cases:
+            _assert_same_route(*both_backends(
+                lambda: maze_route(gx0, gy0, gx1, gy1, cost_h, cost_v, margin),
+                "native",
+            ))
+
+    def test_rejects_non_contiguous_or_non_float64_costs(self):
+        cost = np.ones((8, 16))
+        with kernels.using("native"):
+            with pytest.raises(TypeError, match="C-contiguous"):
+                kernels.maze_search(0, 0, 3, 3, cost[:, ::2], cost[:, ::2], 0, 3, 0, 3)
+            with pytest.raises(TypeError, match="float64"):
+                ints = np.ones((8, 8), dtype=np.int64)
+                kernels.maze_search(0, 0, 3, 3, ints, ints, 0, 3, 0, 3)
+            with pytest.raises(ValueError, match="window"):
+                kernels.maze_search(0, 0, 3, 3, cost, cost, 1, 3, 0, 3)
+
+    def test_router_results_bit_identical(self, placed_small_design):
+        def route():
+            tracer = obs.Tracer()
+            with obs.tracing(tracer):
+                report = GlobalRouter(placed_small_design, keep_state=True).run()
+            return report, tracer.metrics()
+
+        (nat, nat_m), (vec, vec_m) = both_backends(route, "native")
+        assert nat_m["maze/calls"]["value"] > 0
+        for key in ("hof", "vof", "wirelength", "via_count", "rounds"):
+            assert getattr(nat, key) == getattr(vec, key), key
+        assert np.array_equal(nat.demand.dmd_h, vec.demand.dmd_h)
+        assert np.array_equal(nat.demand.dmd_v, vec.demand.dmd_v)
+        for stat in ("count", "sum"):
+            assert nat_m["maze/sweeps"][stat] == vec_m["maze/sweeps"][stat]
+
+    def test_eco_reroute_bit_identical(self, placed_small_design):
+        design = copy.deepcopy(placed_small_design)
+        base = GlobalRouter(design, keep_state=True).run()
+        moved = np.flatnonzero(design.movable)[:12]
+        design.x[moved] += 12.0
+        dirty = np.arange(min(design.num_nets, 80))
+
+        def reroute():
+            tracer = obs.Tracer()
+            with obs.tracing(tracer):
+                report = reroute_nets(copy.deepcopy(base.state), design, dirty)
+            return report, tracer.metrics()
+
+        (nat, nat_m), (vec, vec_m) = both_backends(reroute, "native")
+        assert nat_m["maze/calls"]["value"] > 0
+        for key in ("hof", "vof", "wirelength", "via_count"):
+            assert getattr(nat, key) == getattr(vec, key), key
+        assert np.array_equal(nat.demand.dmd_h, vec.demand.dmd_h)
+        assert np.array_equal(nat.demand.dmd_v, vec.demand.dmd_v)
+        assert nat_m["maze/sweeps"] == vec_m["maze/sweeps"]
+
+
+class TestNativeBuild:
+    def test_no_compiler_falls_back_to_vectorized(self, monkeypatch, tmp_path, re_resolve):
+        monkeypatch.setattr(native, "CACHE_DIR", str(tmp_path))  # cold cache
+        monkeypatch.setattr(native, "_compiler", lambda: None)
+        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+        kernels._resolve()
+        assert "native" not in kernels.BACKENDS
+        assert kernels.current() == "vectorized"
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            kernels.use("native")
+        monkeypatch.setenv(kernels.ENV_VAR, "native")
+        with pytest.warns(UserWarning, match="REPRO_KERNELS"):
+            kernels._resolve()
+        assert kernels.current() == "vectorized"
+
+    @needs_native
+    def test_cold_build_then_warm_cache_starts_no_process(
+        self, monkeypatch, tmp_path, re_resolve
+    ):
+        monkeypatch.setattr(native, "CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+        kernels._resolve()  # cold: builds into the (empty) cache
+        assert kernels.current() == "native"
+        assert os.listdir(tmp_path) == [os.path.basename(native.library_path())]
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a warm cache must not start a process")
+
+        monkeypatch.setattr(subprocess, "run", no_process)
+        kernels._resolve()
+        assert kernels.current() == "native"
+        h, v = kernels.maze_search(0, 0, 2, 0, np.ones((3, 3)), np.ones((3, 3)), 0, 2, 0, 0)
+        assert h.tolist() == [0, 3, 6] and v.size == 0
+
+    def test_cache_key_covers_source_flags_and_platform(self, monkeypatch):
+        path = native.library_path()
+        assert os.path.dirname(path) == native.CACHE_DIR
+        monkeypatch.setattr(native, "CFLAGS", native.CFLAGS + ("-g",))
+        assert native.library_path() != path
+        assert "-ffp-contract=off" in native.CFLAGS
+        assert not {"-ffast-math", "-march=native"} & set(native.CFLAGS)
 
 
 # ----------------------------------------------------------------------

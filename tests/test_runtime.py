@@ -1,10 +1,12 @@
 """Tests for the parallel job-execution runtime (repro.runtime)."""
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
+from repro import kernels
 from repro.runtime import (
     MISSING,
     ArtifactCache,
@@ -122,7 +124,22 @@ class TestExecutorInline:
         assert seen == ["a"]
 
 
+def _kernel_backend(x=None):
+    return kernels.current()
+
+
 class TestExecutorPool:
+    def test_spawned_workers_use_the_parents_kernel_backend(self):
+        # A spawned worker imports repro afresh; without the pool
+        # initializer it would run the default backend instead.
+        executor = TaskExecutor(
+            jobs=2, retries=0, force_pool=True,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        with kernels.using("reference"):
+            results = executor.run([Task(f"k{i}", _kernel_backend) for i in range(2)])
+        assert [r.value for r in results] == ["reference", "reference"]
+
     def test_parallel_results_in_task_order(self):
         executor = TaskExecutor(jobs=2)
         results = executor.run([Task(f"t{i}", _double, (i,)) for i in range(5)])
