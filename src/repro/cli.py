@@ -909,17 +909,11 @@ def _eco_delta(args) -> int:
     print(f"{record['id']} {record['state']}")
     if not args.wait:
         return 0
-    import time
-
-    deadline = (None if args.wait_timeout is None
-                else time.monotonic() + args.wait_timeout)
-    while record["state"] in ("queued", "running"):
-        if deadline is not None and time.monotonic() >= deadline:
-            print(f"error: delta {record['id']} still {record['state']}",
-                  file=sys.stderr)
-            return 1
-        time.sleep(0.25)
-        record = client.delta(args.session, record["id"])
+    try:
+        record = client.wait_delta(args.session, record["id"], args.wait_timeout)
+    except TimeoutError as exc:
+        print(f"error: delta {exc}", file=sys.stderr)
+        return 1
     print(f"{record['id']} {record['state']}")
     if record["state"] != "done":
         print(f"error: {record.get('error')}", file=sys.stderr)

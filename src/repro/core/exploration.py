@@ -22,6 +22,7 @@ large benchmarks (experiment A4 measures this transfer).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,15 +162,20 @@ def make_placement_objective(
     )
 
 
-def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
+def make_batch_evaluator(objective, executor=None, cache=None, journal=None,
+                         run_batch=None):
     """Build a ``list[params] -> list[loss]`` batch evaluator.
 
     Used as the ``evaluator`` of :func:`strategy_exploration` /
     :func:`repro.tpe.minimize` to add concurrency and artifact reuse
     around an expensive objective:
 
-    * with an ``executor``, candidates are evaluated across worker
-      processes (``executor.map``);
+    * the raw evaluations that no journal or cache answers run through
+      ``run_batch`` — ``list[params] -> list[outcome]``, one
+      ``(raw, cached)`` pair or the raised exception per candidate.  By
+      default that is ``evaluate_raw`` in-process, or across worker
+      processes with an ``executor``; the service tier passes its jobs
+      (:class:`repro.serve.DistributedEvaluator`);
     * with a ``cache`` (:class:`repro.runtime.ArtifactCache`) and/or a
       ``journal`` (:class:`repro.runtime.Journal`), raw evaluations are
       reused across runs — because exploration RNG is deterministic, a
@@ -194,6 +200,8 @@ def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
     key_fn = getattr(objective, "cache_key", None)
     loss_fn = getattr(objective, "loss_from_raw", None)
     structured = raw_fn is not None and key_fn is not None and loss_fn is not None
+    if run_batch is None:
+        run_batch = functools.partial(_run_local, raw_fn, executor)
     journaled: dict = {}
     if journal is not None:
         for record in journal.records():
@@ -226,37 +234,22 @@ def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
             else:
                 todo.append(i)
         if todo:
-            pending = [batch[i] for i in todo]
-            if executor is None:
-                fresh = []
-                for params in pending:
-                    try:
-                        fresh.append(raw_fn(params))
-                    except Exception as exc:
-                        fresh.append(exc)
-            else:
-                tasks = [
-                    Task(key=f"trial-{i}", fn=raw_fn, args=(params,))
-                    for i, params in enumerate(pending)
-                ]
-                fresh = [
-                    result.value if result.ok else result.error
-                    for result in executor.run(tasks)
-                ]
-            for i, raw in zip(todo, fresh):
-                if isinstance(raw, BaseException):
+            outcomes = run_batch([batch[i] for i in todo])
+            for i, outcome in zip(todo, outcomes):
+                if isinstance(outcome, BaseException):
                     raws[i] = _TRIAL_FAILED
-                    details[i] = {"cached": False, "error": str(raw)}
+                    details[i] = {"cached": False, "error": str(outcome)}
                     if keys[i] is not None and journal is not None:
                         journal.append(
                             {"key": keys[i],
-                             "failed": f"{type(raw).__name__}: {raw}"}
+                             "failed": f"{type(outcome).__name__}: {outcome}"}
                         )
                         journaled[keys[i]] = _TRIAL_FAILED
                     continue
+                raw, cached = outcome
                 raw = (float(raw[0]), float(raw[1]))
                 raws[i] = raw
-                details[i] = {"cached": False}
+                details[i] = {"cached": bool(cached)}
                 if keys[i] is None:
                     continue
                 if cache is not None:
@@ -280,6 +273,27 @@ def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
 
     evaluate.last_details = []
     return evaluate
+
+
+def _run_local(raw_fn, executor, pending: list) -> list:
+    """``run_batch`` of :func:`make_batch_evaluator` without a service:
+    ``evaluate_raw`` serially in-process, or as tasks on ``executor``."""
+    if executor is None:
+        outcomes = []
+        for params in pending:
+            try:
+                outcomes.append((raw_fn(params), False))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+    tasks = [
+        Task(key=f"trial-{i}", fn=raw_fn, args=(params,))
+        for i, params in enumerate(pending)
+    ]
+    return [
+        (result.value, False) if result.ok else result.error
+        for result in executor.run(tasks)
+    ]
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 Two levels are provided: :func:`validate_design` checks structural
 well-formedness (run after construction or deserialization), and
-:func:`check_legal` verifies placement legality (run after legalization).
+:func:`check_legal` verifies placement legality (run after legalization)
+as a view over the ``placement/*`` checkers of :mod:`repro.verify`, the
+one implementation of those invariants.
 """
 
 from __future__ import annotations
@@ -83,91 +85,22 @@ def validate_design(design: Design) -> ValidationReport:
 def check_legal(
     design: Design, site_align: bool = True, tolerance: float = 1e-6
 ) -> ValidationReport:
-    """Placement-legality checks for movable standard cells.
+    """Placement legality: the ``placement/*`` checkers of :mod:`repro.verify`.
 
-    Verifies die containment, row alignment, site alignment (optional),
-    and pairwise non-overlap within each row.
+    Die containment, row alignment, site alignment (optional) and
+    overlap, with the error message of every violation copied into
+    the report.
     """
-    report = ValidationReport()
-    tech = design.technology
-    die = design.die
-    movable = np.flatnonzero(design.movable & ~design.is_macro)
-    if len(movable) == 0:
-        return report
-    xlo = design.x[movable] - design.w[movable] / 2
-    ylo = design.y[movable] - design.h[movable] / 2
-    xhi = design.x[movable] + design.w[movable] / 2
-    yhi = design.y[movable] + design.h[movable] / 2
+    from ..verify import CHECKERS, VerifyContext, run_checkers  # verify imports netlist
 
-    outside = (
-        (xlo < die.xlo - tolerance)
-        | (ylo < die.ylo - tolerance)
-        | (xhi > die.xhi + tolerance)
-        | (yhi > die.yhi + tolerance)
-    )
-    if outside.any():
-        report.errors.append(f"{int(outside.sum())} cells outside the die")
-
-    row_offset = (ylo - die.ylo) / tech.row_height
-    misrow = np.abs(row_offset - np.round(row_offset)) > tolerance
-    if misrow.any():
-        report.errors.append(f"{int(misrow.sum())} cells not row-aligned")
-
-    if site_align:
-        site_offset = (xlo - die.xlo) / tech.site_width
-        missite = np.abs(site_offset - np.round(site_offset)) > tolerance
-        if missite.any():
-            report.errors.append(f"{int(missite.sum())} cells not site-aligned")
-
-    overlaps = _count_row_overlaps(xlo, xhi, ylo, tolerance, die.ylo, tech.row_height)
-    if overlaps:
-        report.errors.append(f"{overlaps} overlapping cell pairs within rows")
-
-    blockers = np.flatnonzero(~design.movable | design.is_macro)
-    macro_overlaps = 0
-    for b in blockers:
-        br = design.cell_rect(int(b))
-        hit = (
-            (xlo < br.xhi - tolerance)
-            & (br.xlo < xhi - tolerance)
-            & (ylo < br.yhi - tolerance)
-            & (br.ylo < yhi - tolerance)
-        )
-        macro_overlaps += int(hit.sum())
-    if macro_overlaps:
-        report.errors.append(f"{macro_overlaps} cells overlapping fixed objects")
-    return report
-
-
-def _count_row_overlaps(
-    xlo: np.ndarray,
-    xhi: np.ndarray,
-    ylo: np.ndarray,
-    tolerance: float,
-    die_ylo: float,
-    row_height: float,
-) -> int:
-    """Number of overlapping cell pairs among cells sharing a row.
-
-    Cells are grouped by row *index* — ``round((ylo - die_ylo) /
-    row_height)`` — rather than by exact bottom-y, so sub-tolerance y
-    jitter (e.g. 1e-9 from float round-trips) cannot split one physical
-    row into two groups and hide an overlap.
-    """
-    overlaps = 0
-    rows = np.round((ylo - die_ylo) / row_height)
-    order = np.lexsort((xlo, rows))
-    prev_row = None
-    prev_xhi = -np.inf
-    for i in order:
-        if prev_row is None or rows[i] != prev_row:
-            prev_row = rows[i]
-            prev_xhi = xhi[i]
-            continue
-        if xlo[i] < prev_xhi - tolerance:
-            overlaps += 1
-        prev_xhi = max(prev_xhi, xhi[i])
-    return overlaps
+    names = [
+        name
+        for name in CHECKERS
+        if name.startswith("placement/")
+        and (site_align or name != "placement/site_alignment")
+    ]
+    found = run_checkers(VerifyContext(design, tolerance=tolerance), names=names)
+    return ValidationReport(errors=[v.message for v in found.errors])
 
 
 def _free_area(design: Design) -> float:

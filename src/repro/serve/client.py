@@ -509,15 +509,18 @@ class HttpServiceClient(BaseClient):
     def delta(self, session_id: str, delta_id: str) -> dict:
         return self._request("GET", f"/v1/sessions/{session_id}/deltas/{delta_id}")
 
+    def wait_delta(self, session_id: str, delta_id: str,
+                   timeout: float | None = None, poll: float = 0.25) -> dict:
+        """Poll until the delta is terminal; returns its wire dict."""
+        return self._poll(f"/v1/sessions/{session_id}/deltas/{delta_id}",
+                          DeltaJob.lifecycle.terminal, timeout, poll)
+
     def apply_delta(self, session_id: str, delta,
                     wait_timeout: float | None = None,
                     poll: float = 0.25) -> dict:
         """Submit a delta, poll to completion, return its result summary."""
         record = self.submit_delta(session_id, delta)
-        return _result(self._poll(
-            f"/v1/sessions/{session_id}/deltas/{record['id']}",
-            DeltaJob.lifecycle.terminal, wait_timeout, poll,
-        ))
+        return _result(self.wait_delta(session_id, record["id"], wait_timeout, poll))
 
     # -- strategy explorations -----------------------------------------
 

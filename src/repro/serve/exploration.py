@@ -74,11 +74,6 @@ from .jobs import (
 #: Request keys accepted by ``POST /v1/explorations``.
 _EXPLORE_KEYS = frozenset({"config", "priority", "client_id"})
 
-#: In-band marker for a trial whose job failed (local to this module;
-#: the journal wire format matches ``make_batch_evaluator``'s).
-_FAILED = object()
-
-
 class UnknownExplorationError(UnknownResourceError):
     """An exploration id with no entry in the manager."""
 
@@ -112,12 +107,14 @@ class DistributedEvaluator:
     """Evaluate TPE candidate batches as placement-service jobs.
 
     A drop-in batch evaluator for :func:`repro.tpe.minimize` /
-    :func:`repro.api.run_exploration`: same call contract and the same
-    ``last_details`` protocol as
-    :func:`repro.core.exploration.make_batch_evaluator`, but each
-    candidate runs as one job through a service client — in-process
+    :func:`repro.api.run_exploration`: the evaluator of
+    :func:`repro.core.exploration.make_batch_evaluator` (journal replay
+    and record, failure penalty, loss shaping, ``last_details``) with
+    service jobs as its raw-evaluation step.  Each candidate runs as one
+    job through a service client — in-process
     (:class:`~repro.serve.client.ServiceClient`, needs the service
-    ``loop``) or remote (:class:`~repro.serve.client.HttpServiceClient`).
+    ``loop``) or remote (:class:`~repro.serve.client.HttpServiceClient`)
+    — and a service cache hit reads ``cached`` in its details.
 
     Bit-identity with the serial loop holds because the evaluator is
     pure transport: the sampler's suggestion RNG is untouched, raw
@@ -147,6 +144,7 @@ class DistributedEvaluator:
                  client_id: str = "explore") -> None:
         from ..core.exploration import (
             SuiteDesignFactory,
+            make_batch_evaluator,
             make_placement_objective,
         )
 
@@ -157,24 +155,24 @@ class DistributedEvaluator:
         self.timeout = timeout
         self.priority = int(priority)
         self.client_id = client_id
-        self.last_details: list = []
         self.jobs_submitted = 0
         self._cancelled = threading.Event()
         # The parent-side twin of the serial objective: cache keys and
         # stateful loss shaping, never evaluate_raw (the service does).
-        self._objective = make_placement_objective(
-            SuiteDesignFactory(config.design, config.scale),
-            wl_weight=config.wl_weight,
+        self._evaluate = make_batch_evaluator(
+            make_placement_objective(
+                SuiteDesignFactory(config.design, config.scale),
+                wl_weight=config.wl_weight,
+            ),
+            journal=journal,
+            run_batch=self._evaluate_remote,
         )
-        self._journaled: dict = {}
-        if journal is not None:
-            for record in journal.records():
-                if "overflow" in record and "wirelength" in record:
-                    self._journaled[record["key"]] = (
-                        record["overflow"], record["wirelength"],
-                    )
-                elif "failed" in record:
-                    self._journaled[record["key"]] = _FAILED
+
+    @property
+    def last_details(self) -> list:
+        """Per-candidate details of the last batch (see
+        :func:`repro.core.exploration.make_batch_evaluator`)."""
+        return self._evaluate.last_details
 
     # -- cancellation --------------------------------------------------
 
@@ -299,54 +297,8 @@ class DistributedEvaluator:
     # -- the evaluator contract ----------------------------------------
 
     def __call__(self, batch: list) -> list:
-        from ..core.exploration import FAILED_TRIAL_LOSS
-
         self._check_cancelled()
-        self.last_details = [None] * len(batch)
-        details = self.last_details
-        keys = [self._objective.cache_key(params) for params in batch]
-        raws: list = [None] * len(batch)
-        todo = []
-        for i, key in enumerate(keys):
-            if key is not None and key in self._journaled:
-                raws[i] = self._journaled[key]
-                details[i] = {"cached": True}
-            else:
-                todo.append(i)
-        if todo:
-            outcomes = self._evaluate_remote([batch[i] for i in todo])
-            for i, outcome in zip(todo, outcomes):
-                if isinstance(outcome, BaseException):
-                    raws[i] = _FAILED
-                    details[i] = {"cached": False, "error": str(outcome)}
-                    if keys[i] is not None and self.journal is not None:
-                        self.journal.append(
-                            {"key": keys[i],
-                             "failed": f"{type(outcome).__name__}: {outcome}"}
-                        )
-                        self._journaled[keys[i]] = _FAILED
-                    continue
-                raw, cache_hit = outcome
-                raws[i] = raw
-                details[i] = {"cached": bool(cache_hit)}
-                if keys[i] is not None and self.journal is not None:
-                    self.journal.append(
-                        {"key": keys[i],
-                         "overflow": raw[0], "wirelength": raw[1]}
-                    )
-                    self._journaled[keys[i]] = raw
-        losses = []
-        for i, raw in enumerate(raws):
-            if raw is _FAILED:
-                losses.append(FAILED_TRIAL_LOSS)
-                details[i] = dict(details[i] or {}, failed=True)
-            else:
-                raw = (float(raw[0]), float(raw[1]))
-                losses.append(self._objective.loss_from_raw(raw))
-                details[i] = dict(
-                    details[i] or {}, overflow=raw[0], wirelength=raw[1]
-                )
-        return losses
+        return self._evaluate(batch)
 
 
 @dataclass

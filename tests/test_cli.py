@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -222,8 +223,48 @@ class TestCommands:
         assert first.read_bytes() == second.read_bytes()
 
 
+#: Holds an ``_EcoEngine`` delta on cell 7 until set.
+_HOLD = threading.Event()
+
+
+class _EcoStep:
+    def __init__(self, summary):
+        self._summary = summary
+
+    def to_summary(self):
+        return dict(self._summary)
+
+
+class _EcoEngine:
+    """Session engine double: instant steps, a failing cell and a held one."""
+
+    def __init__(self, request):
+        self.version = 0
+
+    def _step(self, kind):
+        return _EcoStep({
+            "version": self.version, "kind": kind, "hpwl": 100.0 + self.version,
+            "hof": 0.0, "vof": 0.0, "dirty_cells": 1, "dirty_nets": 2,
+            "seconds": {"total": 0.01}, "verify": None,
+        })
+
+    def start(self):
+        return self._step("start")
+
+    def apply(self, payload, verify="cheap"):
+        if payload["cell"] == 99:
+            raise ValueError("cell 99 out of range")
+        if payload["cell"] == 7:
+            _HOLD.wait(10)
+        self.version += 1
+        return self._step(payload["kind"])
+
+    def close(self):
+        pass
+
+
 class TestServeCommands:
-    """submit/jobs drive a live (fake-runner) server over HTTP."""
+    """submit/jobs/eco drive a live (fake-runner) server over HTTP."""
 
     @pytest.fixture()
     def server(self):
@@ -241,7 +282,8 @@ class TestServeCommands:
         def thread_main():
             async def amain():
                 service = PlacementService(
-                    ServiceConfig(workers=1, capacity=4), runner=runner
+                    ServiceConfig(workers=1, capacity=4), runner=runner,
+                    session_engine_factory=_EcoEngine,
                 )
                 await service.start()
                 http = HttpServer(service, port=0)
@@ -286,6 +328,39 @@ class TestServeCommands:
         assert run_cli("submit", "OR1200", "--port", str(server)) == 0
         out = capsys.readouterr().out
         assert "job-1" in out
+
+    def test_eco_delta_wait(self, server, capsys):
+        from repro.serve import HttpServiceClient
+
+        client = HttpServiceClient(port=server)
+        session = client.create_session("OR1200")["id"]
+        assert client.wait_session(session, timeout=10)["state"] == "ready"
+
+        def delta(cell, *wait):
+            payload = json.dumps({"kind": "resize_cell", "cell": cell, "width": 4.0})
+            code = run_cli("eco", "delta", session, "--json", payload, "--wait",
+                           *wait, "--port", str(server))
+            return code, capsys.readouterr()
+
+        code, out = delta(1, "--wait-timeout", "10")
+        assert code == 0
+        assert f"{session}-d1 done" in out.out
+        assert "v1   resize_cell" in out.out and "HPWL 101" in out.out
+
+        code, out = delta(99)
+        assert code == 1
+        assert f"{session}-d2 failed" in out.out
+        assert "error: " in out.err and "cell 99 out of range" in out.err
+
+        _HOLD.clear()
+        try:
+            code, out = delta(7, "--wait-timeout", "0.3")
+        finally:
+            _HOLD.set()
+        assert code == 1
+        assert out.err.strip() in {
+            f"error: delta {session}-d3 still {state}" for state in ("queued", "running")
+        }
 
 
 class TestTracing:

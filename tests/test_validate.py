@@ -83,6 +83,24 @@ class TestCheckLegal:
         report = check_legal(d)
         assert any("fixed" in e for e in report.errors)
 
+    def test_movable_macro_overlap_detected(self):
+        # A movable macro over a fixed cell and over another macro: the
+        # same one-pair-each findings repro.verify reports.
+        tech = Technology()
+        b = DesignBuilder("v", tech, Rect(0, 0, 64, 64))
+        b.add_cell("m0", 16, 16, x=16, y=16, macro=True)
+        b.add_cell("f0", 4, 8, x=18, y=12, movable=False)
+        b.add_cell("m1", 16, 16, x=40, y=40, macro=True)
+        b.add_cell("m2", 16, 16, x=44, y=40, movable=False, macro=True)
+        report = check_legal(b.build())
+        assert report.errors == [
+            "2 overlapping cell pairs (2 with fixed objects)"
+        ]
+
+    def test_site_align_off_skips_site_check(self):
+        d = build([(1.3, 4, 2)])
+        assert check_legal(d, site_align=False).ok
+
     def test_same_x_different_rows_ok(self):
         d = build([(1, 4, 2), (1, 12, 2)])
         assert check_legal(d).ok

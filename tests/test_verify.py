@@ -7,6 +7,7 @@ import pytest
 
 from repro import api, obs
 from repro.legalizer import legalize_abacus, padded_widths
+from repro.netlist import DesignBuilder, Rect, Technology
 from repro.obs import Tracer
 from repro.verify import (
     CHECKERS,
@@ -21,6 +22,8 @@ from repro.verify import (
     checkers_for,
     run_checkers,
 )
+from repro.verify import checkers
+from repro.verify.checkers import MAX_REPORTED
 from repro.verify.differential import DiffCase, DiffReport, _map_case, _metric_case
 
 
@@ -196,6 +199,127 @@ class TestPlacementCheckers:
         legal_design.y[movable] = legal_design.y[movable[0]]
         found = check_overlaps(VerifyContext(design=legal_design))
         assert found and "truncated" in found[0].message
+
+
+def _row_packed(rng, rows=8, die=96.0, fixed=()):
+    """Cells packed left to right with random site gaps in every row,
+    plus ``fixed`` ``(x, y, w, h)`` objects: a legal placement to perturb."""
+    tech = Technology()
+    b = DesignBuilder("sweep", tech, Rect(0, 0, die, die))
+    for r in range(rows):
+        x = float(rng.integers(0, 3))
+        while True:
+            w = float(rng.integers(1, 6))
+            if x + w > die:
+                break
+            b.add_cell(f"c{r}_{int(x)}", w, tech.row_height, x=x + w / 2,
+                       y=(r + 0.5) * tech.row_height)
+            x += w + float(rng.integers(0, 3))
+    for i, (x, y, w, h) in enumerate(fixed):
+        b.add_cell(f"f{i}", w, h, x=x, y=y, movable=False, macro=h > tech.row_height)
+    return b.build()
+
+
+def _brute_pairs(design, tol):
+    """Every overlapping pair with a movable member, by O(n^2) enumeration."""
+    xlo, xhi = design.x - design.w / 2, design.x + design.w / 2
+    ylo, yhi = design.y - design.h / 2, design.y + design.h / 2
+    pairs = []
+    for i in range(design.num_cells):
+        for j in range(i + 1, design.num_cells):
+            if not (design.movable[i] or design.movable[j]):
+                continue
+            if (
+                xlo[i] < xhi[j] - tol
+                and xlo[j] < xhi[i] - tol
+                and ylo[i] < yhi[j] - tol
+                and ylo[j] < yhi[i] - tol
+            ):
+                pairs.append((i, j))
+    return pairs
+
+
+@pytest.mark.usefixtures("chunk")
+class TestOverlapSweepReference:
+    """``check_overlaps`` against a brute-force pair enumeration."""
+
+    @pytest.fixture(params=[None, 7], ids=["chunk-default", "chunk-7"])
+    def chunk(self, request, monkeypatch):
+        """Also run every case with pair chunks that split cells' windows."""
+        if request.param is not None:
+            monkeypatch.setattr(checkers, "_PAIR_CHUNK", request.param)
+
+    def _agree(self, design, tol=1e-6):
+        pairs = _brute_pairs(design, tol)
+        assert 0 < len(pairs) < MAX_REPORTED, "case must not truncate"
+        found = check_overlaps(VerifyContext(design=design, tolerance=tol))
+        assert len(found) == 1
+        assert int(found[0].message.split()[0]) == len(pairs)
+        assert "truncated" not in found[0].message
+        assert found[0].cells == tuple(sorted({c for p in pairs for c in p}))
+        return found[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        design = _row_packed(rng)
+        src, dst = rng.choice(design.num_cells, size=(2, 5), replace=False)
+        design.x[dst] = design.x[src]
+        design.y[dst] = design.y[src]
+        self._agree(design)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jittered_rows(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        design = _row_packed(rng)
+        moved = rng.choice(design.num_cells, size=12, replace=False)
+        design.x[moved] += rng.normal(0.0, 1.5, size=len(moved))
+        design.y[moved] += rng.normal(0.0, 2.0, size=len(moved))
+        self._agree(design)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_fixed_blocker(self, seed):
+        # A blocker spanning most of the two rows above the packed ones,
+        # and a fixed cell on top of it (fixed-on-fixed: exempt).  The
+        # packed cells in its x-window are candidates, not overlaps.
+        rng = np.random.default_rng(20 + seed)
+        design = _row_packed(rng, fixed=[(48.0, 80.0, 80.0, 16.0), (20.0, 76.0, 2.0, 8.0)])
+        hit = rng.choice(np.flatnonzero(design.movable), size=3, replace=False)
+        design.y[hit] = 76.0
+        found = self._agree(design)
+        assert "with fixed objects" in found.message
+
+    def test_abutting_at_plus_minus_tol(self):
+        # Overlap of exactly tol (in x, then in y) is legal; tol plus one
+        # more quarter is not.  Quarters keep every bound exact in floats.
+        tol = 0.25
+        tech = Technology()
+        b = DesignBuilder("abut", tech, Rect(0, 0, 64, 64))
+        b.add_cell("a", 4, 8, x=2.0, y=4.0)
+        b.add_cell("b", 4, 8, x=5.75, y=4.0)  # x-overlap == tol
+        b.add_cell("c", 4, 8, x=2.0, y=11.75)  # y-overlap == tol
+        b.add_cell("d", 4, 8, x=20.0, y=4.0)
+        b.add_cell("e", 4, 8, x=23.5, y=4.0)  # x-overlap == 2 tol
+        b.add_cell("f", 4, 8, x=30.0, y=4.0)
+        b.add_cell("g", 4, 8, x=30.0, y=11.5)  # y-overlap == 2 tol
+        b.add_cell("h", 4, 8, x=40.0, y=4.0)
+        b.add_cell("i", 4, 8, x=44.25, y=4.0)  # gap == tol
+        b.add_cell("j", 4, 8, x=50.0, y=11.75)  # upper cell first in x-order
+        b.add_cell("k", 4, 8, x=50.0, y=4.0)  # y-overlap == tol
+        design = b.build()
+        found = self._agree(design, tol=tol)
+        assert found.cells == (3, 4, 5, 6)
+
+    def test_many_overlaps_truncate(self):
+        rng = np.random.default_rng(30)
+        design = _row_packed(rng, rows=12)
+        design.x += rng.normal(0.0, 3.0, size=design.num_cells)
+        pairs = _brute_pairs(design, 1e-6)
+        assert len(pairs) > MAX_REPORTED
+        found = check_overlaps(VerifyContext(design=design))
+        assert found[0].message.startswith(f"{MAX_REPORTED} overlapping cell pairs")
+        assert found[0].message.endswith("(truncated)")
+        assert set(found[0].cells) <= {c for p in pairs for c in p}
 
 
 class TestPaddingChecker:
