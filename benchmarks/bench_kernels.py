@@ -19,13 +19,19 @@ The tentpole acceptance bar (gated by ``check_regression.py``) is a
 round-2 kernels: ``abacus`` (suffix-scan cluster-merge trials of the
 Abacus legalizer) and ``steiner`` (batched per-net RSMT construction on
 a netlist-like degree mix).  Their speedups are regression-checked
-against the committed baseline rather than floored.
+against the committed baseline rather than floored.  So is
+``path_congestion`` (the pin-congestion L/Z path search), which
+``check_regression.py`` also floors at 3x.
 
 When the compiled backend built, the same maze batch also runs on it:
 ``maze_native_seconds`` and ``maze_native_speedup`` (over vectorized,
 floored at 3x by ``check_regression.py``), after checking its routes are
-identical to the vectorized ones.  Without a compiler the report lists
-both keys under ``unavailable``.
+identical to the vectorized ones.  Likewise a batch of congested detour
+expansions (``expand_segments``, which has no vectorized form) runs on
+the reference loop and, compiled, as ``expand_native_seconds`` and
+``expand_native_speedup`` (over reference, floored at 10x), after
+checking the demand maps are identical.  Without a compiler the report
+lists the native keys under ``unavailable``.
 
 Usage::
 
@@ -53,6 +59,8 @@ FULL = dict(
     maze_routes=40, maze_grid=64,
     abacus_clusters=600, abacus_trials=400,
     steiner_nets=20_000,
+    expand_segments=20_000, expand_grid=128,
+    path_edges=40_000, path_grid=128,
 )
 QUICK = dict(
     demand_rects=20_000, demand_grid=96,
@@ -61,6 +69,8 @@ QUICK = dict(
     maze_routes=10, maze_grid=48,
     abacus_clusters=200, abacus_trials=80,
     steiner_nets=3_000,
+    expand_segments=4_000, expand_grid=96,
+    path_edges=8_000, path_grid=96,
 )
 
 
@@ -298,6 +308,69 @@ def bench_steiner(cfg, repeats):
     )
 
 
+def bench_path_congestion(cfg, repeats):
+    """Pin-congestion L/Z path search over RSMT-edge-like boxes."""
+    rng = np.random.default_rng(6)
+    g = cfg["path_grid"]
+    n = cfg["path_edges"]
+    cg = rng.normal(0.0, 0.5, (g, g))
+    ax = rng.integers(0, g, n)
+    ay = rng.integers(0, g, n)
+    bx = np.clip(ax + rng.geometric(0.15, n) * rng.choice([-1, 1], n), 0, g - 1)
+    by = np.clip(ay + rng.geometric(0.15, n) * rng.choice([-1, 1], n) * (rng.random(n) < 0.6), 0, g - 1)
+
+    def run(mod):
+        return mod.path_congestion(cg, ax, ay, bx, by, 2)
+
+    if not np.array_equal(run(reference), run(vectorized)):
+        raise AssertionError("path_congestion: backends disagree")
+    return (
+        best_of(lambda: run(reference), max(repeats // 2, 1)),
+        best_of(lambda: run(vectorized), repeats),
+    )
+
+
+def _expand_batch(cfg):
+    """``run(mod)``: a batch of straight segments on congested maps,
+    expanded in order; returns the count and the updated demand maps."""
+    rng = np.random.default_rng(7)
+    g = cfg["expand_grid"]
+    n = cfg["expand_segments"]
+    cap_h = rng.uniform(2.0, 6.0, (g, g))
+    cap_v = rng.uniform(2.0, 6.0, (g, g))
+    dmd_h = cap_h * rng.uniform(0.6, 1.3, (g, g))
+    dmd_v = cap_v * rng.uniform(0.6, 1.3, (g, g))
+    horizontal = rng.random(n) < 0.5
+    length = np.minimum(rng.geometric(0.15, n) + 1, g)
+    lo = (rng.random(n) * (g - length + 1)).astype(np.int64)
+    fixed = rng.integers(0, g, n)
+    lo_is_pin = rng.random(n) < 0.7
+    hi_is_pin = rng.random(n) < 0.7
+
+    def run(mod):
+        h, v = dmd_h.copy(), dmd_v.copy()
+        count = mod.expand_segments(
+            cap_h, cap_v, h, v, horizontal, fixed, lo, lo + length - 1,
+            lo_is_pin, hi_is_pin, 2, 0.25,
+        )
+        return count, h, v
+
+    return run
+
+
+def bench_expand_native(cfg, repeats):
+    """The expansion batch on the reference loop and compiled; the
+    counts and maps must be identical."""
+    run = _expand_batch(cfg)
+    (ref_n, ref_h, ref_v), (nat_n, nat_h, nat_v) = run(reference), run(native)
+    if ref_n != nat_n or not (np.array_equal(ref_h, nat_h) and np.array_equal(ref_v, nat_v)):
+        raise AssertionError("expand_segments: native maps differ from reference")
+    return (
+        best_of(lambda: run(reference), max(repeats // 2, 1)),
+        best_of(lambda: run(native), repeats),
+    )
+
+
 BENCHES = {
     "demand": bench_demand,
     "rudy": bench_rudy,
@@ -305,6 +378,7 @@ BENCHES = {
     "maze": bench_maze,
     "abacus": bench_abacus,
     "steiner": bench_steiner,
+    "path_congestion": bench_path_congestion,
 }
 
 
@@ -345,8 +419,20 @@ def main(argv=None) -> int:
             f"{'maze':8s} native     {nat_wall * 1e3:8.1f} ms   "
             f"{report['maze_native_speedup']:6.2f}x over vectorized"
         )
+        ref_wall, nat_wall = bench_expand_native(cfg, args.repeats)
+        report["expand_reference_seconds"] = round(ref_wall, 5)
+        report["expand_native_seconds"] = round(nat_wall, 5)
+        report["expand_native_speedup"] = round(ref_wall / max(nat_wall, 1e-12), 2)
+        print(
+            f"{'expand':8s} reference {ref_wall * 1e3:8.1f} ms   "
+            f"native     {nat_wall * 1e3:8.1f} ms   "
+            f"{report['expand_native_speedup']:6.2f}x"
+        )
     else:
-        report["unavailable"] = ["maze_native_seconds", "maze_native_speedup"]
+        report["unavailable"] = [
+            "maze_native_seconds", "maze_native_speedup",
+            "expand_reference_seconds", "expand_native_seconds", "expand_native_speedup",
+        ]
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w") as f:

@@ -10,8 +10,9 @@ Reads each ``BENCH_*.json`` produced by the scripts in this directory
 * every ``*_speedup`` metric must satisfy
   ``fresh >= baseline / (1 + budget)``,
 * the kernel report must additionally clear the absolute tentpole
-  floors: ``demand_speedup >= 3``, ``density_speedup >= 3`` and
-  ``maze_native_speedup >= 3``, and the shared-memory report
+  floors: ``demand_speedup >= 3``, ``density_speedup >= 3``,
+  ``path_congestion_speedup >= 3``, ``maze_native_speedup >= 3`` and
+  ``expand_native_speedup >= 10``, and the shared-memory report
   ``shm_latency_speedup >= 2`` — these are enforced even without a
   baseline, since they are ratios of the same workload on the same
   machine.
@@ -57,9 +58,13 @@ CONFIG_KEYS = {
 #: the fresh report regardless of baseline availability.
 FLOORS = {
     # The compiled maze must beat the vectorized one >= 3x on the same
-    # batch (3.5x full-size, 5-6x --quick); skipped without a compiler.
+    # batch (3.5x full-size, 5-6x --quick), and the compiled detour
+    # expansion the reference loop >= 10x; both skipped without a
+    # compiler.  The sparse-table path search must beat its loop >= 3x.
     "BENCH_kernels.json": {
-        "demand_speedup": 3.0, "density_speedup": 3.0, "maze_native_speedup": 3.0,
+        "demand_speedup": 3.0, "density_speedup": 3.0,
+        "path_congestion_speedup": 3.0,
+        "maze_native_speedup": 3.0, "expand_native_speedup": 10.0,
     },
     # The issue's acceptance bar: a single-cell resize through the ECO
     # session must beat a cold place+route rerun by >= 10x.

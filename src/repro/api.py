@@ -42,6 +42,7 @@ from .benchgen import make_design
 from .core import PufferPlacer, StrategyParams
 from .netlist import check_legal
 from .netlist.design import Design
+from .netlist.validate import legality_of
 from .placer import PlacementParams
 from .router import GlobalRouter, RouterParams
 from .schema import dataclass_from_dict, dataclass_to_dict
@@ -416,12 +417,19 @@ def run(
             flow_result = flow_fn(design, config.placement)
             place_seconds = time.perf_counter() - start
             report = GlobalRouter(design, config.router).run() if route else None
-            legality = check_legal(design) if verify_legal else None
             verify_report = (
                 _verify_run(design, config, flow_result, report, verify)
                 if verify != "off"
                 else None
             )
+            legality = None
+            if verify_legal:
+                # Every verify level runs the placement/* checkers: reuse them.
+                legality = (
+                    check_legal(design)
+                    if verify_report is None
+                    else legality_of(verify_report)
+                )
             run_span.set(hpwl=design.hpwl(), place_seconds=place_seconds)
             if verify_report is not None:
                 run_span.set(verify_errors=len(verify_report.errors))

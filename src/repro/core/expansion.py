@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import obs
+from .. import kernels, obs
 from ..router.grid import RoutingGrid
-from .demand import DemandResult, ISegment
+from .demand import DemandResult
 
 
 @dataclass
@@ -46,69 +46,25 @@ def expand_demand(
 
     Congestion is judged against the *current* maps, so earlier
     expansions relieve later ones — imitating routers negotiating
-    resources one net at a time.
+    resources one net at a time.  The segment loop is the
+    :func:`repro.kernels.expand_segments` kernel.
     """
     params = params or ExpansionParams()
-    with obs.span("congestion/expansion", segments=len(demand.i_segments)):
-        for seg in demand.i_segments:
-            if seg.horizontal:
-                _expand_one(
-                    grid.cap_h, demand.dmd_h, demand.dmd_v, grid.ny, seg, params
-                )
-            else:
-                # The transposed views make the vertical case identical.
-                _expand_one(
-                    grid.cap_v.T, demand.dmd_v.T, demand.dmd_h.T, grid.nx, seg, params
-                )
-
-
-def _expand_one(
-    cap: np.ndarray,
-    dmd: np.ndarray,
-    dmd_perp: np.ndarray,
-    num_rows: int,
-    seg: ISegment,
-    params: ExpansionParams,
-) -> None:
-    """Redistribute one horizontal-convention I-segment.
-
-    ``cap``/``dmd`` are indexed ``[along, across]``: for a horizontal
-    segment that is ``[gx, gy]``; the vertical case passes transposed
-    views so the same code applies.
-    """
-    row = seg.fixed
-    span = slice(seg.lo, seg.hi + 1)
-    length = seg.hi - seg.lo + 1
-    over = dmd[span, row] - cap[span, row]
-    if over.max() <= 0.0:
-        return
-    lo_k = max(row - params.radius, 0) - row
-    hi_k = min(row + params.radius, num_rows - 1) - row
-    offsets = np.arange(lo_k, hi_k + 1)
-    avail = np.empty(len(offsets))
-    for i, k in enumerate(offsets):
-        spare = cap[span, row + k] - dmd[span, row + k]
-        avail[i] = max(float(spare.sum()), 0.0)
-    weights = avail.copy()
-    weights[offsets == 0] += params.keep_weight * max(length, 1)
-    total = weights.sum()
-    if total <= 0.0:
-        return
-    weights /= total
-
-    # Redistribute the unit demand across the neighbouring rows.
-    dmd[span, row] -= 1.0
-    for k, w in zip(offsets, weights):
-        if w <= 0.0:
-            continue
-        dmd[span, row + k] += w
-        if k == 0:
-            continue
-        # Detour connection at Steiner endpoints only (paper Fig. 3c):
-        # perpendicular demand between the original and displaced rows.
-        step = 1 if k > 0 else -1
-        across = slice(min(row + step, row + k), max(row + step, row + k) + 1)
-        if not seg.lo_is_pin:
-            dmd_perp[seg.lo, across] += w
-        if not seg.hi_is_pin:
-            dmd_perp[seg.hi, across] += w
+    segments = demand.i_segments
+    with obs.span("congestion/expansion", segments=len(segments)) as span:
+        fields = np.fromiter(
+            (
+                value
+                for s in segments
+                for value in (s.horizontal, s.fixed, s.lo, s.hi, s.lo_is_pin, s.hi_is_pin)
+            ),
+            dtype=np.int64,
+            count=6 * len(segments),
+        ).reshape(len(segments), 6)
+        flags = fields.astype(bool)
+        expanded = kernels.expand_segments(
+            grid.cap_h, grid.cap_v, demand.dmd_h, demand.dmd_v,
+            flags[:, 0], fields[:, 1], fields[:, 2], fields[:, 3],
+            flags[:, 4], flags[:, 5], params.radius, params.keep_weight,
+        )
+        span.set(expanded=expanded)

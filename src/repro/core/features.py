@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter
 
+from .. import kernels, obs
 from ..netlist.design import Design
 from .congestion import CongestionMap
 
@@ -80,6 +81,10 @@ class FeatureExtractor:
         Fixed cells and macros receive zero features (they are never
         padded).
         """
+        with obs.span("features/extract", cells=self.design.num_cells):
+            return self._extract(cmap, topologies)
+
+    def _extract(self, cmap: CongestionMap, topologies: list) -> FeatureSet:
         design = self.design
         n = design.num_cells
         grid = cmap.grid
@@ -118,79 +123,91 @@ class FeatureExtractor:
     # ------------------------------------------------------------------
 
     def _pin_congestion(self, cmap: CongestionMap, topologies: list) -> np.ndarray:
+        """Per cell, the sum over its pins of the pin's point congestion.
+
+        A topology point's congestion is the min over its incident edges
+        of :func:`repro.kernels.path_congestion`; a pin adds the value of
+        the pin point in its Gcell.  Values are added per cell in
+        (topology, net-pin) order, so the float sums are those of the
+        per-pin loop this replaces.
+        """
         design = self.design
-        grid = cmap.grid
-        cg = cmap.cg
-        px, py = design.pin_positions()
-        pgx, pgy = grid.gcell_of(px, py)
-
-        # Best (min over candidate paths) worst-Gcell congestion per
-        # topology point, for pin points of every net.
-        point_values = []
-        for topo in topologies:
-            best = np.full(len(topo.gx), np.inf)
-            for a, b in topo.edges:
-                value = self._segment_path_congestion(
-                    cg, int(topo.gx[a]), int(topo.gy[a]), int(topo.gx[b]), int(topo.gy[b])
-                )
-                best[a] = min(best[a], value)
-                best[b] = min(best[b], value)
-            point_values.append(best)
-
         pin_cg_cell = np.zeros(design.num_cells)
-        for topo, best in zip(topologies, point_values):
-            pins = design.pins_of_net(topo.net)
-            for p in pins:
-                key = (int(pgx[p]), int(pgy[p]))
-                point = topo.point_of.get(key)
-                if point is None or not np.isfinite(best[point]):
-                    continue
-                pin_cg_cell[design.pin_cell[p]] += best[point]
+        with obs.span("features/pin_congestion", nets=len(topologies)):
+            if not topologies:
+                return pin_cg_cell
+            gx = np.concatenate([t.gx for t in topologies]).astype(np.int64)
+            gy = np.concatenate([t.gy for t in topologies]).astype(np.int64)
+            best = _point_congestion(cmap.cg, topologies, gx, gy, self.params.z_samples)
+            pins, point = _pin_points(design, cmap.grid, topologies, gx, gy)
+            hit = point >= 0
+            hit[hit] = np.isfinite(best[point[hit]])
+            np.add.at(pin_cg_cell, design.pin_cell[pins[hit]], best[point[hit]])
         return pin_cg_cell
 
     def _segment_path_congestion(
         self, cg: np.ndarray, ax: int, ay: int, bx: int, by: int
     ) -> float:
         """Min over L/Z candidate paths of the max Gcell congestion."""
-        if ax == bx and ay == by:
-            return float(cg[ax, ay])
-        if ax == bx:
-            lo, hi = sorted((ay, by))
-            return float(cg[ax, lo : hi + 1].max())
-        if ay == by:
-            lo, hi = sorted((ax, bx))
-            return float(cg[lo : hi + 1, ay].max())
-        xlo, xhi = sorted((ax, bx))
-        ylo, yhi = sorted((ay, by))
-        best = min(
-            # L with corner at (bx, ay): H run at ay, V run at bx.
-            max(cg[xlo : xhi + 1, ay].max(), cg[bx, ylo : yhi + 1].max()),
-            # L with corner at (ax, by).
-            max(cg[xlo : xhi + 1, by].max(), cg[ax, ylo : yhi + 1].max()),
-        )
-        for mid in _interior_samples(xlo, xhi, self.params.z_samples):
-            value = max(
-                cg[min(ax, mid) : max(ax, mid) + 1, ay].max(),
-                cg[mid, ylo : yhi + 1].max(),
-                cg[min(mid, bx) : max(mid, bx) + 1, by].max(),
-            )
-            best = min(best, value)
-        for mid in _interior_samples(ylo, yhi, self.params.z_samples):
-            value = max(
-                cg[ax, min(ay, mid) : max(ay, mid) + 1].max(),
-                cg[xlo : xhi + 1, mid].max(),
-                cg[bx, min(mid, by) : max(mid, by) + 1].max(),
-            )
-            best = min(best, value)
-        return float(best)
+        value = kernels.path_congestion(cg, [ax], [ay], [bx], [by], self.params.z_samples)
+        return float(value[0])
 
 
-def _interior_samples(lo: int, hi: int, count: int) -> list:
-    interior = range(lo + 1, hi)
-    if len(interior) <= count:
-        return list(interior)
-    step = len(interior) / (count + 1)
-    return [interior[int(step * (i + 1))] for i in range(count)]
+def _point_congestion(cg, topologies, gx, gy, z_samples) -> np.ndarray:
+    """Per topology point (concatenated in topology order), the min over
+    its incident edges of :func:`repro.kernels.path_congestion`; ``inf``
+    for a point without edges."""
+    sizes = np.array([len(t.gx) for t in topologies], dtype=np.int64)
+    per_topo = np.array([len(t.edges) for t in topologies], dtype=np.int64)
+    first = np.zeros(len(topologies), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=first[1:])
+    edges = np.concatenate([t.edges for t in topologies]).astype(np.int64)
+    edges += np.repeat(first, per_topo)[:, None]
+    a, b = edges[:, 0], edges[:, 1]
+    values = kernels.path_congestion(cg, gx[a], gy[a], gx[b], gy[b], z_samples)
+    best = np.full(len(gx), np.inf)
+    np.minimum.at(best, a, values)
+    np.minimum.at(best, b, values)
+    return best
+
+
+def _pin_points(design, grid, topologies, gx, gy) -> tuple:
+    """The pins of every topology's net, in (topology, net-pin) order, and
+    each pin's topology point: the pin point in the pin's Gcell (the last
+    one, should two share it), or ``-1`` for none."""
+    sizes = np.array([len(t.gx) for t in topologies], dtype=np.int64)
+    nets = np.array([t.net for t in topologies], dtype=np.int64)
+    starts = design.net_start[nets]
+    counts = design.net_start[nets + 1] - starts
+    pins = design.net_pins[_ranges(starts, counts)]
+    px, py = design.pin_positions()
+    pgx, pgy = grid.gcell_of(px[pins], py[pins])
+    topo = np.arange(len(topologies))
+
+    def key(t, x, y):  # (topology, Gcell) as one sortable int
+        return (t * grid.nx + x) * grid.ny + y
+
+    points = np.flatnonzero(np.concatenate([t.is_pin for t in topologies]))
+    point_keys = key(np.repeat(topo, sizes)[points], gx[points], gy[points])
+    order = np.argsort(point_keys, kind="stable")
+    sorted_keys = point_keys[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = sorted_keys[:-1] != sorted_keys[1:]
+    sorted_keys, sorted_points = sorted_keys[last], points[order[last]]
+    point = np.full(len(pins), -1, dtype=np.int64)
+    if len(sorted_keys):
+        pin_keys = key(np.repeat(topo, counts), pgx, pgy)
+        slot = np.minimum(np.searchsorted(sorted_keys, pin_keys), len(sorted_keys) - 1)
+        found = sorted_keys[slot] == pin_keys
+        point[found] = sorted_points[slot[found]]
+    return pins, point
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + count)`` for each pair."""
+    offsets = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
 
 
 def _corner_max(grid, grid_map, xlo, ylo, xhi, yhi) -> np.ndarray:

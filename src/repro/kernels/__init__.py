@@ -1,17 +1,23 @@
 """Dispatchable numpy kernels for the measured hot paths.
 
-The congestion estimator, the RUDY baseline, the electrostatic density
-map, and the maze router all funnel their inner loops through this
-module.  Three interchangeable backends implement every kernel:
+The congestion estimator and its detour expansion, the pin-congestion
+feature, the RUDY baseline, the electrostatic density map, the
+legalizer, the RSMT builder and the maze router all funnel their inner
+loops through this module.  Three interchangeable backends implement
+every kernel:
 
-* ``"native"`` (the default whenever it builds) — ``maze_search`` is a
-  C port of the vectorized sweep (:mod:`repro.kernels.native`),
-  compiled with the system ``cc`` and loaded with :mod:`ctypes`; the
-  other kernels are the vectorized ones.  Its routes are bit-identical
-  to ``"vectorized"``.
+* ``"native"`` (the default whenever it builds) — C ports
+  (:mod:`repro.kernels.native`), compiled with the system ``cc`` and
+  loaded with :mod:`ctypes`, of the vectorized ``maze_search`` (routes
+  bit-identical to ``"vectorized"``) and of the sequential
+  ``expand_segments`` loop (maps bit-identical to ``"reference"``); the
+  other kernels are the vectorized ones.
 * ``"vectorized"`` — whole-batch numpy formulations
-  (:mod:`repro.kernels.vectorized`); the default, and the only fast
-  path, on a machine without a C compiler.
+  (:mod:`repro.kernels.vectorized`).  It becomes the default only
+  where ``"native"`` did not build (no C compiler, or a failed build).
+  ``expand_segments`` is
+  order-dependent and has no exact whole-batch form, so this backend
+  runs the reference loop for it.
 * ``"reference"`` — the original per-object loops, kept as the golden
   implementation (:mod:`repro.kernels.reference`).
 
@@ -30,9 +36,11 @@ variable, or per CLI run with ``--kernels``.  Worker pools of
 :class:`repro.runtime.TaskExecutor` inherit the parent's selection.
 ``vectorized`` and ``reference`` agree to ``allclose`` tolerance
 (``rtol=1e-9``, plus ``atol`` of a few ulps of the accumulated
-magnitude) on the map kernels and to equal path cost on the maze
-kernel; ``tests/test_kernels.py`` holds the golden-equivalence suite
-and ``benchmarks/bench_kernels.py`` the speedup measurements.
+magnitude) on the map kernels, to equal path cost on the maze kernel,
+and exactly on ``path_congestion``, ``abacus_trial`` and
+``steiner_batch``; ``tests/test_kernels.py`` holds the
+golden-equivalence suite and ``benchmarks/bench_kernels.py`` the
+speedup measurements.
 
 Kernel inventory (full contracts in the backend docstrings):
 
@@ -49,6 +57,12 @@ Kernel inventory (full contracts in the backend docstrings):
   over a segment's cluster arrays.
 * ``steiner_batch(x, y, start, max_degree)`` — per-net RSMT
   construction over CSR-packed point sets.
+* ``expand_segments(cap_h, cap_v, dmd_h, dmd_v, horizontal, fixed, lo,
+  hi, lo_is_pin, hi_is_pin, radius, keep_weight)`` — in-order detour
+  expansion of congested straight segments into the demand maps;
+  returns the number expanded.
+* ``path_congestion(cg, ax, ay, bx, by, z_samples)`` — per edge, the min
+  over L/Z candidate paths of the max Gcell congestion (Eqs. 12-13).
 """
 
 from __future__ import annotations
@@ -149,3 +163,13 @@ def abacus_trial(*args, **kwargs):
 def steiner_batch(*args, **kwargs):
     """Batched per-net RSMT construction (active backend)."""
     return _MODULES[_active].steiner_batch(*args, **kwargs)
+
+
+def expand_segments(*args, **kwargs):
+    """Sequential detour expansion of congested segments (active backend)."""
+    return _MODULES[_active].expand_segments(*args, **kwargs)
+
+
+def path_congestion(*args, **kwargs):
+    """Per-edge min over L/Z paths of the max Gcell congestion (active backend)."""
+    return _MODULES[_active].path_congestion(*args, **kwargs)

@@ -297,3 +297,156 @@ int repro_maze_search(const double *cost_h, const double *cost_v,
     free(mark);
     return status;
 }
+
+/*
+ * Detour-imitating demand expansion: a line-for-line port of
+ * repro.kernels.reference.expand_segments (and its _expand_one).
+ *
+ * The reference sums every spare-capacity run with numpy's `sum` over a
+ * contiguous temporary, which is numpy's pairwise summation added to the
+ * reduction identity 0.0; pairwise_sum() below reproduces it exactly, so
+ * the updated maps are bit-identical:
+ *
+ *   - n < 8: sequential from 0.0;
+ *   - n <= 128: eight accumulators over the multiple-of-8 prefix,
+ *     combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
+ *     added in order;
+ *   - otherwise: split at n/2 rounded down to a multiple of 8.
+ *
+ * Python's max(x, 0.0) keeps x unless 0.0 > x; np.max(over) <= 0.0 holds
+ * exactly when no element is NaN or positive.
+ */
+
+static double pairwise_sum(const double *a, int64_t n)
+{
+    double res, r[8];
+    int64_t i, j, n2;
+
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* numpy's sum of a contiguous array: the identity plus the pairwise sum. */
+static double np_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/*
+ * One segment in the horizontal convention: element (a, r) of a map is
+ * at a * sa + r * sr (along a, across r).  `spare` and `weights` are
+ * scratch of at least the along length and num_rows.  Returns 1 when
+ * the segment was expanded, else 0.
+ */
+static int expand_one(const double *cap, double *dmd, double *perp,
+                      int64_t sa, int64_t sr, int64_t num_rows, int64_t row,
+                      int64_t lo, int64_t hi, int lo_is_pin, int hi_is_pin,
+                      int64_t radius, double keep_weight, double *spare,
+                      double *weights)
+{
+    int64_t length = hi - lo + 1, a, k, r, i, lo_k, hi_k, n_off, r0, r1;
+    int congested = 0;
+    double total, w;
+
+    for (a = lo; a <= hi && !congested; a++)
+        congested = !(dmd[a * sa + row * sr] - cap[a * sa + row * sr] <= 0.0);
+    if (!congested)
+        return 0;
+    lo_k = (row - radius > 0 ? row - radius : 0) - row;
+    hi_k = (row + radius < num_rows - 1 ? row + radius : num_rows - 1) - row;
+    n_off = hi_k >= lo_k ? hi_k - lo_k + 1 : 0;
+    for (i = 0; i < n_off; i++) {
+        double s;
+        r = row + lo_k + i;
+        for (a = lo; a <= hi; a++)
+            spare[a - lo] = cap[a * sa + r * sr] - dmd[a * sa + r * sr];
+        s = np_sum(spare, length);
+        weights[i] = 0.0 > s ? 0.0 : s;
+    }
+    if (lo_k <= 0 && 0 <= hi_k)
+        weights[-lo_k] += keep_weight * (double)(length > 1 ? length : 1);
+    total = np_sum(weights, n_off);
+    if (total <= 0.0)
+        return 0;
+    for (i = 0; i < n_off; i++)
+        weights[i] /= total;
+
+    /* Redistribute the unit demand across the neighbouring rows. */
+    for (a = lo; a <= hi; a++)
+        dmd[a * sa + row * sr] -= 1.0;
+    for (i = 0; i < n_off; i++) {
+        k = lo_k + i;
+        w = weights[i];
+        if (w <= 0.0)
+            continue;
+        for (a = lo; a <= hi; a++)
+            dmd[a * sa + (row + k) * sr] += w;
+        if (k == 0)
+            continue;
+        /* Perpendicular detour demand at Steiner endpoints only. */
+        r0 = k > 0 ? row + 1 : row + k;
+        r1 = k > 0 ? row + k : row - 1;
+        if (!lo_is_pin)
+            for (r = r0; r <= r1; r++)
+                perp[lo * sa + r * sr] += w;
+        if (!hi_is_pin)
+            for (r = r0; r <= r1; r++)
+                perp[hi * sa + r * sr] += w;
+    }
+    return 1;
+}
+
+/*
+ * cap_h, cap_v, dmd_h, dmd_v: (nx, ny) maps; the demand maps are updated
+ * in place.  Segment i is horizontal (along x at row fixed[i]) when
+ * horizontal[i], else vertical (along y at column fixed[i]), over
+ * lo[i]..hi[i]; indices are assumed in range.
+ *
+ * Returns the number of expanded segments, or -1 when scratch memory
+ * cannot be allocated.
+ */
+int64_t repro_expand_segments(const double *cap_h, const double *cap_v,
+                              double *dmd_h, double *dmd_v, int64_t nx,
+                              int64_t ny, int64_t n, const uint8_t *horizontal,
+                              const int64_t *fixed, const int64_t *lo,
+                              const int64_t *hi, const uint8_t *lo_is_pin,
+                              const uint8_t *hi_is_pin, int64_t radius,
+                              double keep_weight)
+{
+    int64_t i, expanded = 0, m = nx > ny ? nx : ny;
+    double *buf = malloc(sizeof(double) * 2 * (size_t)(m > 0 ? m : 1));
+
+    if (buf == NULL)
+        return -1;
+    for (i = 0; i < n; i++) {
+        if (horizontal[i])
+            expanded += expand_one(cap_h, dmd_h, dmd_v, ny, 1, ny, fixed[i],
+                                   lo[i], hi[i], lo_is_pin[i], hi_is_pin[i],
+                                   radius, keep_weight, buf, buf + m);
+        else
+            /* The transposed views of the reference: along y, across x. */
+            expanded += expand_one(cap_v, dmd_v, dmd_h, 1, ny, nx, fixed[i],
+                                   lo[i], hi[i], lo_is_pin[i], hi_is_pin[i],
+                                   radius, keep_weight, buf, buf + m);
+    }
+    free(buf);
+    return expanded;
+}

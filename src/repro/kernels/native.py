@@ -1,11 +1,18 @@
-"""Compiled (C) maze search behind the kernel dispatch.
+"""Compiled (C) kernels behind the kernel dispatch.
 
-:func:`maze_search` runs ``native.c``, a line-for-line C port of
-:func:`repro.kernels.vectorized.maze_search`: the same prefix sums,
-min-scans, sweep cap, convergence test and backtrack, so its routes are
-bit-identical to the vectorized backend's.  The other kernels are the
-vectorized ones, re-exported so the dispatch table keeps one module per
-backend.
+Two kernels run ``native.c``:
+
+* :func:`maze_search` is a line-for-line C port of
+  :func:`repro.kernels.vectorized.maze_search`: the same prefix sums,
+  min-scans, sweep cap, convergence test and backtrack, so its routes
+  are bit-identical to the vectorized backend's.
+* :func:`expand_segments` is a line-for-line C port of the sequential
+  :func:`repro.kernels.reference.expand_segments` loop, with numpy's
+  pairwise summation reproduced, so its demand maps are bit-identical
+  to the reference's.
+
+Every other kernel is the vectorized one, re-exported so the dispatch
+table keeps one module per backend.
 
 :func:`load` builds the library with the system ``cc`` and binds it
 with :mod:`ctypes`.  The shared object is cached in this package's
@@ -34,6 +41,7 @@ from .. import obs
 from .vectorized import (  # noqa: F401  (re-exported: the dispatch table)
     abacus_trial,
     bin_overlap,
+    path_congestion,
     rect_add,
     rect_area,
     steiner_batch,
@@ -44,7 +52,8 @@ CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 #: Never add -ffast-math or -march=native: both change float results.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_search = None  # the bound C function once load() succeeded
+_search = None  # the bound C functions once load() succeeded
+_expand = None
 
 
 def library_path() -> str:
@@ -93,23 +102,40 @@ def load() -> bool:
     """Build (or reuse the cached) library and bind it.
 
     Returns:
-        Whether :func:`maze_search` is usable.  ``False`` without a C
+        Whether the compiled kernels are usable.  ``False`` without a C
         compiler, when the build fails, or when the cache directory is
         not writable and holds no library yet.
     """
-    global _search
-    _search = None
+    global _search, _expand
+    _search = _expand = None
     try:
         path = library_path()
         if not os.path.exists(path) and not _build(path):
             return False
-        fn = ctypes.CDLL(path).repro_maze_search
-    except OSError:
+        lib = ctypes.CDLL(path)
+        search, expand = lib.repro_maze_search, lib.repro_expand_segments
+    except (OSError, AttributeError):
         return False
-    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 9 + [ctypes.c_void_p]
-    fn.restype = ctypes.c_int
-    _search = fn
+    search.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 9 + [ctypes.c_void_p]
+    search.restype = ctypes.c_int
+    expand.argtypes = (
+        [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
+        + [ctypes.c_int64, ctypes.c_double]
+    )
+    expand.restype = ctypes.c_int64
+    _search, _expand = search, expand
     return True
+
+
+def _check_maps(kernel: str, maps) -> None:
+    """The C code reads (and writes) maps in place: no copies, no views."""
+    for m in maps:
+        if m.dtype != np.float64 or m.ndim != 2 or not m.flags.c_contiguous:
+            raise TypeError(
+                f"native {kernel} reads the maps in place: they must be "
+                f"C-contiguous 2-D float64, got {m.dtype} {m.ndim}-D "
+                f"(C-contiguous: {m.flags.c_contiguous})"
+            )
 
 
 def maze_search(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
@@ -121,13 +147,7 @@ def maze_search(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
         ValueError: the two maps differ in shape, or the window is not
             inside the map or does not contain both end points.
     """
-    for costs in (cost_h, cost_v):
-        if costs.dtype != np.float64 or costs.ndim != 2 or not costs.flags.c_contiguous:
-            raise TypeError(
-                "native maze_search reads the cost maps in place: they must be "
-                f"C-contiguous 2-D float64, got {costs.dtype} {costs.ndim}-D "
-                f"(C-contiguous: {costs.flags.c_contiguous})"
-            )
+    _check_maps("maze_search", (cost_h, cost_v))
     nx, ny = cost_h.shape
     if cost_v.shape != cost_h.shape:
         raise ValueError(f"cost maps differ in shape: {cost_h.shape} vs {cost_v.shape}")
@@ -154,3 +174,50 @@ def maze_search(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
     if status == 0:
         return None
     return out[:n_h].copy(), out[w * h : w * h + n_v].copy()
+
+
+def expand_segments(
+    cap_h, cap_v, dmd_h, dmd_v, horizontal, fixed, lo, hi, lo_is_pin, hi_is_pin,
+    radius, keep_weight,
+):
+    """Same contract and result as :func:`repro.kernels.reference.expand_segments`.
+
+    Raises:
+        TypeError: a map is not a C-contiguous 2-D float64 array (the
+            demand maps are updated in place, never copied).
+        ValueError: the maps differ in shape, or a segment lies outside
+            them (``lo <= hi`` inside the map along the segment, ``fixed``
+            inside it across).
+    """
+    maps = (cap_h, cap_v, dmd_h, dmd_v)
+    _check_maps("expand_segments", maps)
+    nx, ny = cap_h.shape
+    if any(m.shape != cap_h.shape for m in maps):
+        raise ValueError(f"maps differ in shape: {[m.shape for m in maps]}")
+    horizontal = np.ascontiguousarray(horizontal, dtype=bool)
+    fixed, lo, hi = (np.ascontiguousarray(v, dtype=np.int64) for v in (fixed, lo, hi))
+    lo_is_pin, hi_is_pin = (
+        np.ascontiguousarray(v, dtype=bool) for v in (lo_is_pin, hi_is_pin)
+    )
+    n = len(horizontal)
+    if n == 0:
+        return 0
+    along = np.where(horizontal, nx, ny)
+    across = np.where(horizontal, ny, nx)
+    if not (
+        (lo >= 0).all() and (lo <= hi).all() and (hi < along).all()
+        and (fixed >= 0).all() and (fixed < across).all()
+    ):
+        raise ValueError(f"segments must lie inside the {nx}x{ny} maps")
+    # A radius past the grid reaches the same rows as the grid size; a
+    # negative one expands nothing.  Clamping keeps the C ints in range.
+    radius = min(max(int(radius), -1), max(nx, ny))
+    expanded = _expand(
+        cap_h.ctypes.data, cap_v.ctypes.data, dmd_h.ctypes.data, dmd_v.ctypes.data,
+        nx, ny, n, horizontal.ctypes.data, fixed.ctypes.data, lo.ctypes.data,
+        hi.ctypes.data, lo_is_pin.ctypes.data, hi_is_pin.ctypes.data,
+        radius, float(keep_weight),
+    )
+    if expanded < 0:
+        raise MemoryError("expand_segments scratch")
+    return int(expanded)

@@ -267,3 +267,168 @@ def steiner_batch(x, y, start, max_degree):
         topo = build_rsmt(x[lo:hi], y[lo:hi], steinerize_max_degree=max_degree)
         out.append((topo.x, topo.y, topo.is_pin, topo.edges))
     return out
+
+
+# ----------------------------------------------------------------------
+# Detour-imitating demand expansion (congestion estimator)
+# ----------------------------------------------------------------------
+
+
+def expand_segments(
+    cap_h, cap_v, dmd_h, dmd_v, horizontal, fixed, lo, hi, lo_is_pin, hi_is_pin,
+    radius, keep_weight,
+):
+    """Expand congested straight segments in place, one at a time.
+
+    Segment ``i`` runs along x at row ``fixed[i]`` when ``horizontal[i]``
+    (along y at column ``fixed[i]`` otherwise) over Gcells
+    ``lo[i]..hi[i]``.  A segment whose run has overflow redistributes
+    its unit demand over the ``radius`` neighbouring rows (columns) in
+    proportion to their spare capacity, the original row keeping at
+    least ``keep_weight`` per Gcell; a Steiner endpoint (``*_is_pin``
+    false) also receives perpendicular detour demand.  Congestion is
+    judged against the maps as earlier segments left them, so the
+    result depends on segment order.
+
+    Returns:
+        The number of segments whose demand was redistributed.
+    """
+    nx, ny = cap_h.shape
+    expanded = 0
+    for hz, row, s_lo, s_hi, lo_pin, hi_pin in zip(
+        np.asarray(horizontal).tolist(),
+        np.asarray(fixed).tolist(),
+        np.asarray(lo).tolist(),
+        np.asarray(hi).tolist(),
+        np.asarray(lo_is_pin).tolist(),
+        np.asarray(hi_is_pin).tolist(),
+    ):
+        if hz:
+            views = (cap_h, dmd_h, dmd_v, ny)
+        else:
+            # The transposed views make the vertical case identical.
+            views = (cap_v.T, dmd_v.T, dmd_h.T, nx)
+        expanded += _expand_one(
+            *views, row, s_lo, s_hi, lo_pin, hi_pin, radius, keep_weight
+        )
+    return expanded
+
+
+def _expand_one(
+    cap, dmd, dmd_perp, num_rows, row, s_lo, s_hi, lo_is_pin, hi_is_pin,
+    radius, keep_weight,
+) -> bool:
+    """Redistribute one horizontal-convention segment.
+
+    ``cap``/``dmd`` are indexed ``[along, across]``: for a horizontal
+    segment that is ``[gx, gy]``; the vertical case passes transposed
+    views so the same code applies.  Returns whether it expanded.
+    """
+    span = slice(s_lo, s_hi + 1)
+    length = s_hi - s_lo + 1
+    over = dmd[span, row] - cap[span, row]
+    if over.max() <= 0.0:
+        return False
+    lo_k = max(row - radius, 0) - row
+    hi_k = min(row + radius, num_rows - 1) - row
+    offsets = np.arange(lo_k, hi_k + 1)
+    avail = np.empty(len(offsets))
+    for i, k in enumerate(offsets):
+        spare = cap[span, row + k] - dmd[span, row + k]
+        avail[i] = max(float(spare.sum()), 0.0)
+    weights = avail.copy()
+    weights[offsets == 0] += keep_weight * max(length, 1)
+    total = weights.sum()
+    if total <= 0.0:
+        return False
+    weights /= total
+
+    # Redistribute the unit demand across the neighbouring rows.
+    dmd[span, row] -= 1.0
+    for k, w in zip(offsets, weights):
+        if w <= 0.0:
+            continue
+        dmd[span, row + k] += w
+        if k == 0:
+            continue
+        # Detour connection at Steiner endpoints only (paper Fig. 3c):
+        # perpendicular demand between the original and displaced rows.
+        step = 1 if k > 0 else -1
+        across = slice(min(row + step, row + k), max(row + step, row + k) + 1)
+        if not lo_is_pin:
+            dmd_perp[s_lo, across] += w
+        if not hi_is_pin:
+            dmd_perp[s_hi, across] += w
+    return True
+
+
+# ----------------------------------------------------------------------
+# Pin-congestion path search (features, Eqs. 12-13)
+# ----------------------------------------------------------------------
+
+
+def path_congestion(cg, ax, ay, bx, by, z_samples):
+    """Per edge, the min over L/Z candidate paths of the max Gcell ``cg``.
+
+    Edge ``i`` joins Gcells ``(ax[i], ay[i])`` and ``(bx[i], by[i])``.
+    The candidates are the two L paths plus Z paths through up to
+    ``z_samples`` evenly spaced interior columns and rows of the
+    bounding box (see :func:`interior_samples`).
+
+    Returns:
+        A float64 array with one value per edge.
+    """
+    out = np.empty(len(ax))
+    for i, (eax, eay, ebx, eby) in enumerate(
+        zip(
+            np.asarray(ax).tolist(),
+            np.asarray(ay).tolist(),
+            np.asarray(bx).tolist(),
+            np.asarray(by).tolist(),
+        )
+    ):
+        out[i] = _edge_path_congestion(cg, eax, eay, ebx, eby, z_samples)
+    return out
+
+
+def _edge_path_congestion(cg, ax, ay, bx, by, z_samples) -> float:
+    if ax == bx and ay == by:
+        return float(cg[ax, ay])
+    if ax == bx:
+        lo, hi = sorted((ay, by))
+        return float(cg[ax, lo : hi + 1].max())
+    if ay == by:
+        lo, hi = sorted((ax, bx))
+        return float(cg[lo : hi + 1, ay].max())
+    xlo, xhi = sorted((ax, bx))
+    ylo, yhi = sorted((ay, by))
+    best = min(
+        # L with corner at (bx, ay): H run at ay, V run at bx.
+        max(cg[xlo : xhi + 1, ay].max(), cg[bx, ylo : yhi + 1].max()),
+        # L with corner at (ax, by).
+        max(cg[xlo : xhi + 1, by].max(), cg[ax, ylo : yhi + 1].max()),
+    )
+    for mid in interior_samples(xlo, xhi, z_samples):
+        value = max(
+            cg[min(ax, mid) : max(ax, mid) + 1, ay].max(),
+            cg[mid, ylo : yhi + 1].max(),
+            cg[min(mid, bx) : max(mid, bx) + 1, by].max(),
+        )
+        best = min(best, value)
+    for mid in interior_samples(ylo, yhi, z_samples):
+        value = max(
+            cg[ax, min(ay, mid) : max(ay, mid) + 1].max(),
+            cg[xlo : xhi + 1, mid].max(),
+            cg[bx, min(mid, by) : max(mid, by) + 1].max(),
+        )
+        best = min(best, value)
+    return float(best)
+
+
+def interior_samples(lo: int, hi: int, count: int) -> list:
+    """Up to ``count`` evenly spaced integers strictly between ``lo`` and ``hi``."""
+    interior = range(lo + 1, hi)
+    if len(interior) <= count:
+        return list(interior)
+    step = len(interior) / (count + 1)
+    return [interior[int(step * (i + 1))] for i in range(count)]

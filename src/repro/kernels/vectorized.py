@@ -16,6 +16,13 @@ in :mod:`repro.kernels.reference`:
 * :func:`maze_search` — label-correcting wavefront: directional
   min-scans relax entire straight runs per sweep, so the sweep count is
   bounded by the number of turns on the optimal path, not its length.
+* :func:`path_congestion` — per-row and per-column sparse tables answer
+  every range max of every candidate path at once; max and min round
+  nothing, so the values are the reference's exactly.
+
+:func:`expand_segments` is the reference loop itself: each segment is
+judged against the maps the earlier ones left, so it has no exact
+whole-batch form.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
+from .reference import expand_segments  # noqa: F401  (re-exported: sequential)
 
 # ----------------------------------------------------------------------
 # Weighted-rectangle accumulation (demand / RUDY rasterization)
@@ -553,3 +561,124 @@ def _emit_degree3(out, idx, px, py, edges):
             )
         else:
             out[i] = (px[b], py[b], pins3, path[b])
+
+
+# ----------------------------------------------------------------------
+# Pin-congestion path search (features, Eqs. 12-13)
+# ----------------------------------------------------------------------
+
+
+class _RangeMax:
+    """Sparse table over axis 0 of a 2-D map: ``query(f, lo, hi)`` is
+    ``a[lo:hi + 1, f].max()`` per element, in two lookups."""
+
+    def __init__(self, a: np.ndarray) -> None:
+        n, m = a.shape
+        levels = int(n).bit_length()
+        table = np.empty((levels, n, m))
+        table[0] = a
+        for k in range(1, levels):
+            half, valid = 1 << (k - 1), n - (1 << k) + 1
+            np.maximum(
+                table[k - 1, :valid], table[k - 1, half : half + valid],
+                out=table[k, :valid],
+            )
+        self._flat = table.ravel()
+        self._n, self._m = n, m
+        # floor(log2(length)) for every possible range length.
+        self._log = np.zeros(n + 1, dtype=np.int64)
+        self._log[1:] = np.frexp(np.arange(1, n + 1))[1] - 1
+
+    def query(self, f, lo, hi) -> np.ndarray:
+        k = self._log[hi - lo + 1]
+        base = k * self._n
+        left = (base + lo) * self._m + f
+        right = (base + hi - (1 << k) + 1) * self._m + f
+        return np.maximum(self._flat[left], self._flat[right])
+
+
+def path_congestion(cg, ax, ay, bx, by, z_samples):
+    """Per edge, the min over L/Z candidate paths of the max Gcell ``cg``.
+
+    Same candidates and values as the reference loop: every range max is
+    a sparse-table lookup (one table along x per row, one along y per
+    column), and the Z samples are evaluated one sample index at a time
+    over all edges that have it.  ``cg`` must be finite.
+    """
+    cg = np.asarray(cg, dtype=np.float64)
+    ax, ay, bx, by = (np.asarray(v, dtype=np.int64) for v in (ax, ay, bx, by))
+    out = np.empty(len(ax))
+    if len(ax) == 0:
+        return out
+    along_x = _RangeMax(cg).query       # (y, xlo, xhi)
+    along_y = _RangeMax(cg.T).query     # (x, ylo, yhi)
+    for lo in range(0, len(ax), _PATH_BATCH):
+        batch = slice(lo, lo + _PATH_BATCH)
+        out[batch] = _paths(
+            along_x, along_y, ax[batch], ay[batch], bx[batch], by[batch], z_samples
+        )
+    return out
+
+
+#: Edges per :func:`_paths` call.  Each call holds a few dozen index
+#: arrays of this length; batching bounds that memory and changes no value.
+_PATH_BATCH = 4096
+
+
+def _paths(along_x, along_y, ax, ay, bx, by, z_samples):
+    """:func:`path_congestion` of one batch of edges."""
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    # The two L paths; for straight edges and points both reduce to the
+    # max over the run, which is the reference's special case.
+    best = np.minimum(
+        np.maximum(along_x(ay, xlo, xhi), along_y(bx, ylo, yhi)),
+        np.maximum(along_x(by, xlo, xhi), along_y(ax, ylo, yhi)),
+    )
+    bent = np.flatnonzero((xlo < xhi) & (ylo < yhi))
+    if z_samples <= 0 or len(bent) == 0:
+        return best
+    ax, ay, bx, by = ax[bent], ay[bent], bx[bent], by[bent]
+    xlo, xhi, ylo, yhi = xlo[bent], xhi[bent], ylo[bent], yhi[bent]
+    zbest = best[bent]
+    for mid_x, mid_y in zip(
+        _interior_samples(xlo, xhi, z_samples), _interior_samples(ylo, yhi, z_samples)
+    ):
+        # Z through column mid: H run at ay, V run at mid, H run at by.
+        e = np.flatnonzero(mid_x >= 0)
+        if len(e):
+            m = mid_x[e]
+            value = np.maximum(
+                np.maximum(
+                    along_x(ay[e], np.minimum(ax[e], m), np.maximum(ax[e], m)),
+                    along_y(m, ylo[e], yhi[e]),
+                ),
+                along_x(by[e], np.minimum(m, bx[e]), np.maximum(m, bx[e])),
+            )
+            zbest[e] = np.minimum(zbest[e], value)
+        # Z through row mid: V run at ax, H run at mid, V run at bx.
+        e = np.flatnonzero(mid_y >= 0)
+        if len(e):
+            m = mid_y[e]
+            value = np.maximum(
+                np.maximum(
+                    along_y(ax[e], np.minimum(ay[e], m), np.maximum(ay[e], m)),
+                    along_x(m, xlo[e], xhi[e]),
+                ),
+                along_y(bx[e], np.minimum(m, by[e]), np.maximum(m, by[e])),
+            )
+            zbest[e] = np.minimum(zbest[e], value)
+    best[bent] = zbest
+    return best
+
+
+def _interior_samples(lo, hi, count):
+    """Per sample index ``j < count``, the ``j``-th of
+    :func:`repro.kernels.reference.interior_samples` for every
+    ``(lo, hi)`` pair, or ``-1`` where the pair has fewer samples."""
+    inner = hi - lo - 1
+    step = inner / (count + 1)
+    for j in range(count):
+        spread = lo + 1 + (step * (j + 1)).astype(np.int64)
+        mid = np.where(inner <= count, lo + 1 + j, spread)
+        yield np.where(j < inner, mid, -1)

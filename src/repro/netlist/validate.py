@@ -100,7 +100,15 @@ def check_legal(
         and (site_align or name != "placement/site_alignment")
     ]
     found = run_checkers(VerifyContext(design, tolerance=tolerance), names=names)
-    return ValidationReport(errors=[v.message for v in found.errors])
+    return legality_of(found)
+
+
+def legality_of(report) -> ValidationReport:
+    """The :func:`check_legal` view of a :class:`repro.verify.VerifyReport`:
+    the messages of its ``placement/*`` errors."""
+    return ValidationReport(
+        errors=[v.message for v in report.errors if v.checker.startswith("placement/")]
+    )
 
 
 def _free_area(design: Design) -> float:

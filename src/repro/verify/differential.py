@@ -182,8 +182,11 @@ def _metric_case(
 
 
 def diff_maps(design) -> list:
-    """Single-shot map stages: congestion demand, RUDY, density."""
+    """Single-shot map stages: congestion demand and its detour expansion,
+    RUDY, density, and the pin-congestion feature."""
+    from ..core.congestion import CongestionEstimator
     from ..core.demand import accumulate_demand, build_topologies
+    from ..core.features import FeatureExtractor
     from ..core.rudy import rudy_maps
     from ..placer.density import ElectrostaticDensity
     from ..router.grid import build_grid
@@ -195,9 +198,13 @@ def diff_maps(design) -> list:
         demand = accumulate_demand(design, grid, topologies)
         rudy_h, rudy_v = rudy_maps(design)[:2]
         system = ElectrostaticDensity(design, PlacementParams())
+        cmap, estimated, _ = CongestionEstimator(design).estimate()
         return {
             "maps/demand_h": demand.dmd_h,
             "maps/demand_v": demand.dmd_v,
+            "maps/expansion_h": cmap.dmd_h,
+            "maps/expansion_v": cmap.dmd_v,
+            "features/pin_cg": FeatureExtractor(design).extract(cmap, estimated)["pin_cg"],
             "maps/rudy_h": rudy_h,
             "maps/rudy_v": rudy_v,
             "maps/density": system.movable_density(design.x, design.y),

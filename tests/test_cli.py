@@ -386,6 +386,36 @@ class TestTracing:
         assert "TRACE REPORT" in out
         assert "gp/iteration" in out
 
+    def test_place_verify_runs_each_placement_checker_once(self, tmp_path, capsys):
+        """``place`` asks for legality and a verify report; the placement
+        checkers serve both, so each runs (and counts its findings) once."""
+        from repro import obs
+
+        trace = tmp_path / "verify.jsonl"
+        code = run_cli(
+            "place", "OR1200", "--scale", "0.002", "--max-iters", "300",
+            "--verify", "full", "--trace", str(trace),
+        )
+        assert code == 0
+        records = obs.read_trace(trace)
+        verify_spans = [
+            r for r in records
+            if r["type"] == "span" and r["name"].startswith("verify/")
+        ]
+        placement = [r["name"] for r in verify_spans if "/placement/" in r["name"]]
+        assert sorted(placement) == sorted(set(placement))
+        assert {
+            "verify/placement/containment", "verify/placement/row_alignment",
+            "verify/placement/site_alignment", "verify/placement/overlap",
+        } <= set(placement)
+        found = sum(r.get("attrs", {}).get("violations", 0) for r in verify_spans)
+        (counter,) = [
+            r for r in records
+            if r["type"] == "metric" and r["name"] == "verify/violations"
+        ]
+        assert counter["value"] == found
+        assert "legal=" in capsys.readouterr().out
+
     def test_explore_trace_has_tpe_trials(self, tmp_path, capsys):
         from repro import obs
 

@@ -9,7 +9,10 @@ the same terms in different orders); the maze agrees on path *cost* to
 ``1e-6`` relative (ties may break to a different equal-cost path).
 The compiled ``native`` maze is pinned *bit-identical* to the vectorized
 one: same cells, and the same routed result through the router and an
-ECO reroute.
+ECO reroute.  The compiled detour expansion is pinned bit-identical to
+the reference loop, and the vectorized pin-congestion path search
+exactly equal to its loop, down to the padding and positions of a
+whole PUFFER run.
 """
 
 from __future__ import annotations
@@ -770,3 +773,287 @@ class TestSteinerEquivalence:
         for r, v in zip(ref, vec):
             for a, b in zip(r, v):
                 np.testing.assert_array_equal(b, a)
+
+
+# ----------------------------------------------------------------------
+# Detour expansion (congestion estimator): native bit-identical to the
+# sequential reference loop
+# ----------------------------------------------------------------------
+
+
+def _expansion_case(rng, nx, ny, n, max_len, congested=True):
+    """Random maps (demand above capacity when ``congested``) and ``n``
+    segments with lengths up to ``max_len``, a share of them on the first
+    and last row/column, every Steiner/pin endpoint mix."""
+    cap_h = rng.uniform(0.0, 3.0, (nx, ny))
+    cap_v = rng.uniform(0.0, 3.0, (nx, ny))
+    top = 4.5 if congested else 0.0
+    dmd_h = rng.uniform(0.0, top, (nx, ny))
+    dmd_v = rng.uniform(0.0, top, (nx, ny))
+    horizontal = rng.random(n) < 0.5
+    along = np.where(horizontal, nx, ny)
+    across = np.where(horizontal, ny, nx)
+    length = np.minimum(rng.integers(1, max_len + 1, n), along)
+    lo = (rng.random(n) * (along - length + 1)).astype(np.int64)
+    fixed = (rng.random(n) * across).astype(np.int64)
+    edge = rng.random(n)
+    fixed = np.where(edge < 0.15, 0, np.where(edge > 0.85, across - 1, fixed))
+    pins = rng.integers(0, 4, n)  # both Steiner, lo pin, hi pin, both pins
+    segments = (horizontal, fixed, lo, lo + length - 1, pins & 1 > 0, pins & 2 > 0)
+    return (cap_h, cap_v, dmd_h, dmd_v), segments
+
+
+def _expand(backend, maps, segments, radius, keep_weight=0.25):
+    cap_h, cap_v, dmd_h, dmd_v = (m.copy() for m in maps)
+    with kernels.using(backend):
+        count = kernels.expand_segments(
+            cap_h, cap_v, dmd_h, dmd_v, *segments, radius, keep_weight
+        )
+    return count, dmd_h, dmd_v
+
+
+@needs_native
+class TestNativeExpansion:
+    @pytest.mark.parametrize("radius", range(4))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_reference(self, radius, seed):
+        """Lengths 1-300 cross numpy's 8- and 128-element pairwise-sum
+        thresholds and its recursive split."""
+        rng = np.random.default_rng(seed)
+        total = 0
+        for _ in range(12):
+            nx, ny = (int(v) for v in rng.integers(1, 320, 2))
+            maps, segments = _expansion_case(rng, nx, ny, 40, 300)
+            ref = _expand("reference", maps, segments, radius)
+            nat = _expand("native", maps, segments, radius)
+            assert nat[0] == ref[0]
+            assert np.array_equal(nat[1], ref[1])
+            assert np.array_equal(nat[2], ref[2])
+            total += ref[0]
+        assert total > 0
+
+    def test_every_length_and_large_radius(self):
+        rng = np.random.default_rng(11)
+        for length in range(1, 301):
+            maps, segments = _expansion_case(rng, 301, 12, 3, length)
+            segments[2][:] = 0
+            segments[3][:] = np.where(segments[0], length - 1, np.minimum(length, 12) - 1)
+            for radius in (0, 1, 9, 10**12, -3):
+                ref = _expand("reference", maps, segments, radius)
+                nat = _expand("native", maps, segments, radius)
+                assert nat[0] == ref[0]
+                assert np.array_equal(nat[1], ref[1]) and np.array_equal(nat[2], ref[2])
+
+    def test_uncongested_segments_change_nothing(self):
+        rng = np.random.default_rng(5)
+        maps, segments = _expansion_case(rng, 40, 30, 60, 40, congested=False)
+        for backend in ("reference", "native"):
+            count, dmd_h, dmd_v = _expand(backend, maps, segments, 2)
+            assert count == 0
+            assert np.array_equal(dmd_h, maps[2]) and np.array_equal(dmd_v, maps[3])
+
+    def test_count_and_zero_spare_without_keep_weight(self):
+        """No spare capacity and no keep weight: the total weight is 0,
+        so a congested segment still returns early and is not counted."""
+        cap = np.zeros((6, 5))
+        dmd = np.ones((6, 5))
+        segments = (
+            np.array([True, False]), np.array([2, 3]), np.array([0, 1]),
+            np.array([5, 4]), np.array([False, True]), np.array([False, False]),
+        )
+        for keep_weight, expected in ((0.0, 0), (0.25, 2)):
+            counts = {
+                backend: _expand(
+                    backend, (cap, cap, dmd, dmd), segments, 2, keep_weight
+                )
+                for backend in ("reference", "native")
+            }
+            ref, nat = counts["reference"], counts["native"]
+            assert ref[0] == nat[0] == expected
+            assert np.array_equal(ref[1], nat[1]) and np.array_equal(ref[2], nat[2])
+
+    def test_rejects_non_contiguous_or_non_float64_maps(self):
+        rng = np.random.default_rng(0)
+        (cap_h, cap_v, dmd_h, dmd_v), segments = _expansion_case(rng, 8, 8, 4, 5)
+        with kernels.using("native"):
+            for bad in (dmd_h.T, dmd_h.astype(np.float32), dmd_h[:, ::2]):
+                with pytest.raises(TypeError):
+                    kernels.expand_segments(
+                        cap_h, cap_v, bad, dmd_v, *segments, 2, 0.25
+                    )
+            with pytest.raises(ValueError):
+                kernels.expand_segments(
+                    cap_h, cap_v, dmd_h, dmd_v, segments[0], segments[1] + 8,
+                    *segments[2:], 2, 0.25,
+                )
+
+    def test_estimator_maps_identical(self, placed_small_design):
+        """The whole estimate through the dispatch: ``vectorized`` differs
+        from ``native`` only in running the expansion loop in Python."""
+        design = copy.deepcopy(placed_small_design)
+
+        def estimate():
+            cmap = CongestionEstimator(design).estimate()[0]
+            return cmap.dmd_h, cmap.dmd_v
+
+        (ref_h, ref_v), (nat_h, nat_v) = both_backends(estimate, "vectorized", "native")
+        assert np.array_equal(ref_h, nat_h) and np.array_equal(ref_v, nat_v)
+
+
+# ----------------------------------------------------------------------
+# Pin-congestion paths (features, Eqs. 12-13)
+# ----------------------------------------------------------------------
+
+
+def _path_edges(rng, nx, ny, n):
+    """Edges of every shape: points, straight runs, one-wide boxes and
+    long boxes with more interior rows/columns than any z_samples."""
+    ax, bx = rng.integers(0, nx, n), rng.integers(0, nx, n)
+    ay, by = rng.integers(0, ny, n), rng.integers(0, ny, n)
+    kind = rng.integers(0, 5, n)
+    bx = np.where(kind == 0, ax, bx)                                  # vertical / point
+    by = np.where(kind == 1, ay, by)                                  # horizontal / point
+    bx = np.where(kind == 2, np.clip(ax + rng.choice([-1, 1], n), 0, nx - 1), bx)
+    by = np.where(kind == 3, np.clip(ay + rng.choice([-1, 1], n), 0, ny - 1), by)
+    point = rng.random(n) < 0.05
+    return ax, ay, np.where(point, ax, bx), np.where(point, ay, by)
+
+
+class TestPathCongestion:
+    @pytest.mark.parametrize("z_samples", range(5))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_vectorized_equals_reference(self, z_samples, seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(10):
+            nx, ny = (int(v) for v in rng.integers(1, 50, 2))
+            cg = rng.normal(size=(nx, ny))
+            if trial % 2:
+                cg = np.round(cg, 1)  # ties between candidate paths
+            edges = _path_edges(rng, nx, ny, 120)
+            ref, vec = both_backends(
+                lambda: kernels.path_congestion(cg, *edges, z_samples)
+            )
+            assert ref.dtype == vec.dtype == np.float64
+            assert np.array_equal(ref, vec)
+
+    def test_known_values(self):
+        cg = np.zeros((7, 7))
+        cg[3, :] = 5.0  # a wall every path from x<3 to x>3 crosses
+        cg[3, 6] = 1.0  # except through its top cell
+        for backend in kernels.BACKENDS:
+            with kernels.using(backend):
+                out = kernels.path_congestion(
+                    cg, [2, 0, 1, 1, 1], [2, 0, 6, 6, 5], [2, 0, 5, 5, 5],
+                    [2, 6, 6, 0, 0], 2,
+                )
+            # A point, a clear column, the top row through the gap, an L
+            # box whose corner path runs along the top row, and a box
+            # every candidate of which crosses the wall.
+            np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 1.0, 5.0])
+
+    def test_empty_batch(self):
+        for backend in kernels.BACKENDS:
+            with kernels.using(backend):
+                out = kernels.path_congestion(np.ones((3, 3)), [], [], [], [], 2)
+            assert out.shape == (0,)
+
+
+def _old_pin_congestion(extractor, cmap, topologies):
+    """The per-edge / per-pin loop ``_pin_congestion`` replaced."""
+    design = extractor.design
+    px, py = design.pin_positions()
+    pgx, pgy = cmap.grid.gcell_of(px, py)
+    pin_cg_cell = np.zeros(design.num_cells)
+    for topo in topologies:
+        best = np.full(len(topo.gx), np.inf)
+        for a, b in topo.edges:
+            value = extractor._segment_path_congestion(
+                cmap.cg, int(topo.gx[a]), int(topo.gy[a]), int(topo.gx[b]), int(topo.gy[b])
+            )
+            best[a] = min(best[a], value)
+            best[b] = min(best[b], value)
+        for p in design.pins_of_net(topo.net):
+            point = topo.point_of.get((int(pgx[p]), int(pgy[p])))
+            if point is None or not np.isfinite(best[point]):
+                continue
+            pin_cg_cell[design.pin_cell[p]] += best[point]
+    return pin_cg_cell
+
+
+class TestPinCongestion:
+    def test_equals_per_pin_loop(self, placed_small_design):
+        from repro.core.features import FeatureExtractor
+
+        design = copy.deepcopy(placed_small_design)
+        cmap, topologies, _ = CongestionEstimator(design).estimate()
+        pins_per_gcell = np.bincount(
+            np.ravel_multi_index(
+                cmap.grid.gcell_of(*design.pin_positions()), cmap.cg.shape
+            )
+        )
+        assert pins_per_gcell.max() > 1  # pins of one net share Gcells
+        assert len(topologies) < design.num_nets  # local nets have none
+        extractor = FeatureExtractor(design)
+        for backend in kernels.BACKENDS:
+            with kernels.using(backend):
+                new = extractor._pin_congestion(cmap, topologies)
+                old = _old_pin_congestion(extractor, cmap, topologies)
+            assert np.array_equal(new, old)
+
+    def test_duplicate_pin_points_last_one_wins(self, placed_small_design):
+        """Two pin points of one topology in the same Gcell: the dict of
+        the old loop keeps the later one, and so must the lookup."""
+        from repro.core.demand import NetTopology
+        from repro.core.features import FeatureExtractor
+
+        design = copy.deepcopy(placed_small_design)
+        cmap, topologies, _ = CongestionEstimator(design).estimate()
+        rng = np.random.default_rng(2)
+        cmap.cg[:] = rng.normal(size=cmap.cg.shape)
+        doubled = []
+        for topo in topologies[:40]:
+            # Append a copy of the first pin point, joined to a far corner.
+            gx = np.append(topo.gx, [topo.gx[0], 0])
+            gy = np.append(topo.gy, [topo.gy[0], 0])
+            is_pin = np.append(topo.is_pin, [True, False])
+            k = len(topo.gx)
+            edges = np.vstack([topo.edges, [[k, k + 1]]])
+            point_of = {
+                (int(gx[i]), int(gy[i])): i for i in range(len(gx)) if is_pin[i]
+            }
+            doubled.append(NetTopology(topo.net, gx, gy, is_pin, edges, point_of))
+        extractor = FeatureExtractor(design)
+        new = extractor._pin_congestion(cmap, doubled)
+        assert np.array_equal(new, _old_pin_congestion(extractor, cmap, doubled))
+        assert not np.array_equal(new, _old_pin_congestion(extractor, cmap, topologies[:40]))
+
+    def test_no_topologies(self, small_design):
+        from repro.core.features import FeatureExtractor
+
+        cmap = CongestionEstimator(small_design).estimate()[0]
+        out = FeatureExtractor(small_design)._pin_congestion(cmap, [])
+        assert np.array_equal(out, np.zeros(small_design.num_cells))
+
+
+@needs_native
+def test_puffer_run_identical_with_reference_padding_kernels(monkeypatch):
+    """A PUFFER run whose padding rounds use the compiled expansion and
+    the vectorized path search ends exactly where one on the reference
+    loops does: same continuous padding, same positions."""
+    from repro.benchgen import make_design
+    from repro.core.puffer import PufferPlacer
+
+    def run():
+        design = make_design("OR1200", scale=0.002)
+        with kernels.using("native"):
+            result = PufferPlacer(design, placement=PlacementParams(max_iters=300)).run()
+        return result, design
+
+    fast, fast_design = run()
+    monkeypatch.setattr(native, "expand_segments", kernels.reference.expand_segments)
+    monkeypatch.setattr(native, "path_congestion", kernels.reference.path_congestion)
+    slow, slow_design = run()
+    assert fast.padding_rounds == slow.padding_rounds > 0
+    assert np.array_equal(fast.padding, slow.padding)
+    assert np.array_equal(fast_design.x, slow_design.x)
+    assert np.array_equal(fast_design.y, slow_design.y)

@@ -538,6 +538,7 @@ class TestDifferentialPieces:
         assert {c.name for c in cases} == {
             "maps/demand_h", "maps/demand_v", "maps/rudy_h",
             "maps/rudy_v", "maps/density",
+            "maps/expansion_h", "maps/expansion_v", "features/pin_cg",
         }
         assert all(c.ok for c in cases)
 
